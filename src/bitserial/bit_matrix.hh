@@ -8,7 +8,10 @@
 #ifndef INFS_BITSERIAL_BIT_MATRIX_HH
 #define INFS_BITSERIAL_BIT_MATRIX_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,13 +19,93 @@
 
 namespace infs {
 
+/**
+ * The packed words of one BitRow, stored inline up to kInline words (256
+ * bitlines, the default array width) and on the heap beyond that. Inline
+ * rows make a BitMatrix one allocation instead of one per wordline, which
+ * keeps tile allocation cheap on the staging path (DESIGN.md §10).
+ */
+class RowWords
+{
+  public:
+    static constexpr std::size_t kInline = 4;
+
+    RowWords() = default;
+    explicit RowWords(std::size_t n) : n_(n)
+    {
+        if (n > kInline)
+            heap_ = std::make_unique<std::uint64_t[]>(n);
+    }
+    RowWords(const RowWords &o) : RowWords(o.n_)
+    {
+        std::copy_n(o.data(), n_, data());
+    }
+    RowWords(RowWords &&o) noexcept
+        : n_(o.n_), inline_(o.inline_), heap_(std::move(o.heap_))
+    {
+        o.n_ = 0;
+    }
+    RowWords &
+    operator=(const RowWords &o)
+    {
+        if (this == &o)
+            return *this;
+        if (o.n_ <= kInline)
+            heap_.reset();
+        else if (!heap_ || n_ != o.n_)
+            heap_ = std::make_unique<std::uint64_t[]>(o.n_);
+        n_ = o.n_;
+        std::copy_n(o.data(), n_, data());
+        return *this;
+    }
+    RowWords &
+    operator=(RowWords &&o) noexcept
+    {
+        if (this == &o)
+            return *this;
+        n_ = o.n_;
+        inline_ = o.inline_;
+        heap_ = std::move(o.heap_);
+        o.n_ = 0;
+        return *this;
+    }
+
+    std::size_t size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    std::uint64_t *data() { return heap_ ? heap_.get() : inline_.data(); }
+    const std::uint64_t *
+    data() const
+    {
+        return heap_ ? heap_.get() : inline_.data();
+    }
+    std::uint64_t &operator[](std::size_t i) { return data()[i]; }
+    std::uint64_t operator[](std::size_t i) const { return data()[i]; }
+    std::uint64_t &back() { return data()[n_ - 1]; }
+    std::uint64_t *begin() { return data(); }
+    std::uint64_t *end() { return data() + n_; }
+    const std::uint64_t *begin() const { return data(); }
+    const std::uint64_t *end() const { return data() + n_; }
+    operator std::span<const std::uint64_t>() const { return {data(), n_}; }
+
+    bool
+    operator==(const RowWords &o) const
+    {
+        return std::equal(begin(), end(), o.begin(), o.end());
+    }
+
+  private:
+    std::size_t n_ = 0;
+    std::array<std::uint64_t, kInline> inline_{};
+    std::unique_ptr<std::uint64_t[]> heap_;
+};
+
 /** One wordline's worth of bits across all bitlines, packed 64 per word. */
 class BitRow
 {
   public:
     BitRow() = default;
     explicit BitRow(unsigned bits)
-        : bits_(bits), words_((bits + 63) / 64, 0) {}
+        : bits_(bits), words_((bits + 63) / 64) {}
 
     unsigned bits() const { return bits_; }
 
@@ -169,7 +252,7 @@ class BitRow
     friend class BitMatrix;
 
     unsigned bits_ = 0;
-    std::vector<std::uint64_t> words_;
+    RowWords words_;
 };
 
 /**
@@ -181,9 +264,31 @@ class BitMatrix
 {
   public:
     BitMatrix(unsigned wordlines, unsigned bitlines)
-        : wordlines_(wordlines), bitlines_(bitlines),
-          rows_(wordlines, BitRow(bitlines))
+        : BitMatrix(wordlines, bitlines, Deferred{})
     {
+        materialize();
+    }
+
+    /**
+     * Constructor tag: allocate the row storage now, but construct the
+     * zeroed rows only in materialize(). The allocating thread and the
+     * thread that first touches the pages can then differ (the fabric's
+     * tile-parallel staging, DESIGN.md §10).
+     */
+    struct Deferred {};
+    BitMatrix(unsigned wordlines, unsigned bitlines, Deferred)
+        : wordlines_(wordlines), bitlines_(bitlines)
+    {
+        rows_.reserve(wordlines);
+    }
+
+    /** Construct the rows of a Deferred matrix; a no-op once built. Rows
+     * of up to RowWords::kInline words allocate nothing here. */
+    void
+    materialize()
+    {
+        if (rows_.empty())
+            rows_.resize(wordlines_, BitRow(bitlines_));
     }
 
     unsigned wordlines() const { return wordlines_; }
@@ -192,14 +297,16 @@ class BitMatrix
     const BitRow &
     row(unsigned wl) const
     {
-        infs_assert(wl < wordlines_, "wordline %u out of %u", wl, wordlines_);
+        infs_assert(wl < rows_.size(), "wordline %u out of %zu", wl,
+                    rows_.size());
         return rows_[wl];
     }
 
     BitRow &
     row(unsigned wl)
     {
-        infs_assert(wl < wordlines_, "wordline %u out of %u", wl, wordlines_);
+        infs_assert(wl < rows_.size(), "wordline %u out of %zu", wl,
+                    rows_.size());
         return rows_[wl];
     }
 

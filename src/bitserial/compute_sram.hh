@@ -52,6 +52,12 @@ class ComputeSram
     {
     }
 
+    /** An array whose rows are built later by bits().materialize(). */
+    ComputeSram(unsigned wordlines, unsigned bitlines, BitMatrix::Deferred d)
+        : bits_(wordlines, bitlines, d)
+    {
+    }
+
     unsigned wordlines() const { return bits_.wordlines(); }
     unsigned bitlines() const { return bits_.bitlines(); }
 

@@ -171,9 +171,8 @@ template <class Fab>
 void
 seedJobInputs(Fab &fab, const BackendJob &job)
 {
-    const auto vol = static_cast<std::size_t>(job.volume);
+    std::vector<float> data(static_cast<std::size_t>(job.volume));
     for (const auto &[id, wl] : job.prog->arraySlots) {
-        std::vector<float> data(vol);
         Rng rng(static_cast<std::uint64_t>(id) + kJobInputSeedBase);
         for (auto &v : data)
             v = rng.nextFloat(-4, 4);
@@ -182,7 +181,9 @@ seedJobInputs(Fab &fab, const BackendJob &job)
 }
 
 /** FNV-1a over the full lattice of every output slot, in slot order —
- * the quantity the differential tests pin across backends. */
+ * the quantity the differential tests pin across backends. storeArray may
+ * read back tile-parallel; the hash itself stays one sequential pass in
+ * slot and lattice order, so the value never depends on the pool size. */
 template <class Fab>
 std::uint64_t
 checksumJobOutputs(const Fab &fab, const BackendJob &job)

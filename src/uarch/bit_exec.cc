@@ -12,6 +12,112 @@
 
 namespace infs {
 
+namespace {
+
+/**
+ * The dim-0 lines of a full tile, shared by every tile of one
+ * loadArray/storeArray call: line k covers bitlines [k * tile[0],
+ * (k + 1) * tile[0]).
+ */
+struct TileLines {
+    std::int64_t count = 0;
+    /** Dense-array offset of line k from its tile's origin. */
+    std::vector<std::int64_t> denseOff;
+    /** offsets[k * dims + d]: line k's offset along dim d >= 1. */
+    std::vector<Coord> offsets;
+};
+
+TileLines
+tileLines(const TiledLayout &lay)
+{
+    // Line k's offsets along dims 1.. are the mixed-radix digits of k
+    // over the tile extents.
+    const auto &shape = lay.shape();
+    const auto &tsz = lay.tile();
+    const unsigned nd = lay.dims();
+    TileLines tl;
+    tl.count = lay.tileVolume() / tsz[0];
+    tl.denseOff.resize(static_cast<std::size_t>(tl.count));
+    tl.offsets.resize(static_cast<std::size_t>(tl.count) * nd);
+    for (std::int64_t k = 0; k < tl.count; ++k) {
+        std::int64_t rest = k, off = 0, stride = shape[0];
+        for (unsigned d = 1; d < nd; ++d) {
+            const Coord o = rest % tsz[d];
+            rest /= tsz[d];
+            tl.offsets[static_cast<std::size_t>(k) * nd + d] = o;
+            off += o * stride;
+            stride *= shape[d];
+        }
+        tl.denseOff[static_cast<std::size_t>(k)] = off;
+    }
+    return tl;
+}
+
+/**
+ * run(pos, denseIndex, len) for each in-array dim-0 run of tile @p t that
+ * falls in bitline chunk [64 * chunk, 64 * chunk + 64): @p len consecutive
+ * dense elements from denseIndex sit on chunk lanes [pos, pos + len).
+ * Lines outside the array are skipped.
+ */
+template <class Fn>
+void
+forEachChunkRun(const TiledLayout &lay, const TileLines &tl, std::int64_t t,
+                unsigned chunk, Fn &&run)
+{
+    const auto &shape = lay.shape();
+    const auto &tsz = lay.tile();
+    const auto &grid = lay.grid();
+    const unsigned nd = lay.dims();
+
+    // Tile origin in the dense array, its in-array extent along dim 0,
+    // and whether any line of the tile falls outside the array.
+    std::int64_t origin = 0, stride = 1, rest = t;
+    Coord n0 = tsz[0];
+    bool partial = false;
+    for (unsigned d = 0; d < nd; ++d) {
+        const Coord lo = (rest % grid[d]) * tsz[d];
+        rest /= grid[d];
+        origin += lo * stride;
+        stride *= shape[d];
+        const Coord ext = std::min<Coord>(tsz[d], shape[d] - lo);
+        if (d == 0)
+            n0 = ext;
+        else if (ext < tsz[d])
+            partial = true;
+    }
+
+    const Coord t0 = tsz[0];
+    const std::int64_t c0 = static_cast<std::int64_t>(chunk) * 64;
+    const std::int64_t c1 = std::min<std::int64_t>(c0 + 64, tl.count * t0);
+    for (std::int64_t k = c0 / t0; k < tl.count && k * t0 < c1; ++k) {
+        if (partial) {
+            // Re-derive the tile's lower corner per dim (partial tiles
+            // are the boundary minority, so no per-tile scratch).
+            bool inside = true;
+            std::int64_t r = t / grid[0];
+            for (unsigned d = 1; d < nd && inside; ++d) {
+                const Coord lo = (r % grid[d]) * tsz[d];
+                r /= grid[d];
+                inside = lo + tl.offsets[static_cast<std::size_t>(k) * nd +
+                                         d] < shape[d];
+            }
+            if (!inside)
+                continue;
+        }
+        const std::int64_t line = k * t0;
+        const std::int64_t lo = std::max(c0, line);
+        const std::int64_t hi = std::min(c1, line + n0);
+        if (lo < hi)
+            run(static_cast<unsigned>(lo - c0),
+                static_cast<std::size_t>(
+                    origin + tl.denseOff[static_cast<std::size_t>(k)] +
+                    (lo - line)),
+                static_cast<unsigned>(hi - lo));
+    }
+}
+
+} // namespace
+
 BitAccurateFabric::BitAccurateFabric(TiledLayout layout, unsigned wordlines,
                                      unsigned bitlines)
     : layout_(std::move(layout)), wordlines_(wordlines), bitlines_(bitlines),
@@ -75,6 +181,32 @@ BitAccurateFabric::tile(std::int64_t t)
 }
 
 void
+BitAccurateFabric::parallelOver(std::int64_t n,
+                                const std::function<void(std::int64_t)> &fn)
+    const
+{
+    if (pool_ != nullptr && !pool_->inlineOnly() && n > 1) {
+        pool_->parallelFor(n, fn);
+    } else {
+        for (std::int64_t i = 0; i < n; ++i)
+            fn(i);
+    }
+}
+
+void
+BitAccurateFabric::reserveTiles() const
+{
+    // The calling thread does every malloc: worker-side allocation
+    // spreads the SRAM rows over per-thread malloc arenas and grows peak
+    // RSS. The rows themselves are built, and their pages first touched,
+    // by the worker that owns the tile (BitMatrix::materialize).
+    for (auto &p : tiles_)
+        if (!p)
+            p = std::make_unique<ComputeSram>(wordlines_, bitlines_,
+                                              BitMatrix::Deferred{});
+}
+
+void
 BitAccurateFabric::ensureTiles(const std::vector<std::int64_t> &tiles)
 {
     // Allocate through the pool when one is attached: with NUMA pinning
@@ -83,15 +215,10 @@ BitAccurateFabric::ensureTiles(const std::vector<std::int64_t> &tiles)
     // tile to, so bank shards stay node-local (DESIGN.md §14). Callers
     // pass unique tile ids, and tiles_ is pre-sized, so concurrent slot
     // writes are disjoint.
-    if (pool_ != nullptr && !pool_->inlineOnly() && tiles.size() > 1) {
-        pool_->parallelFor(static_cast<std::int64_t>(tiles.size()),
-                           [&](std::int64_t i) {
-                               tile(tiles[static_cast<std::size_t>(i)]);
-                           });
-    } else {
-        for (std::int64_t t : tiles)
-            tile(t);
-    }
+    parallelOver(static_cast<std::int64_t>(tiles.size()),
+                 [&](std::int64_t i) {
+                     tile(tiles[static_cast<std::size_t>(i)]);
+                 });
 }
 
 void
@@ -103,15 +230,10 @@ BitAccurateFabric::forEachTile(const std::vector<std::int64_t> &tiles,
     for (std::int64_t t : tiles)
         bankOps_[static_cast<std::size_t>(t) % FabricStats::kBankSlots]
             .fetch_add(1, std::memory_order_relaxed);
-    if (pool_ != nullptr && !pool_->inlineOnly() && tiles.size() > 1) {
-        pool_->parallelFor(static_cast<std::int64_t>(tiles.size()),
-                           [&](std::int64_t i) {
-                               fn(tiles[static_cast<std::size_t>(i)]);
-                           });
-    } else {
-        for (std::int64_t t : tiles)
-            fn(t);
-    }
+    parallelOver(static_cast<std::int64_t>(tiles.size()),
+                 [&](std::int64_t i) {
+                     fn(tiles[static_cast<std::size_t>(i)]);
+                 });
 }
 
 std::int64_t
@@ -126,128 +248,76 @@ BitAccurateFabric::strideInTile(unsigned dim) const
 void
 BitAccurateFabric::loadArray(std::span<const float> data, unsigned wl)
 {
-    // Word-level transpose: dim 0 is innermost both in the dense array
-    // and in the bitline order, so each dim-0 line maps to contiguous
-    // bitline runs (split at tile boundaries). 64-element chunks are
-    // bit-transposed into 32 packed words and deposited one wordline at
-    // a time — one depositFrom per bit plane instead of one writeElement
-    // per element.
-    const auto &shape = layout_.shape();
-    const auto &tsz = layout_.tile();
-    const unsigned nd = static_cast<unsigned>(shape.size());
-    const Coord shape0 = shape[0];
-    const Coord tile0 = tsz[0];
-
-    std::vector<std::int64_t> mult(nd);
-    std::int64_t m = 1;
-    for (unsigned d = 0; d < nd; ++d) {
-        mult[d] = m;
-        m *= tsz[d];
-    }
-
-    std::vector<Coord> pt(nd, 0), cell(nd, 0);
-    std::size_t i = 0;
-    std::array<std::uint64_t, 32> words;
-    std::array<std::uint32_t, 64> lanes;
+    // Tile-parallel bit-plane staging (DESIGN.md §10): each tile gathers
+    // its in-array dim-0 runs into 64 bitline-ordered lanes at a time,
+    // bit-transposes them into 32 plane words and writes whole words,
+    // masking only bitlines that lie outside the array. A tile is owned
+    // by one worker, so plane writes never race.
+    infs_assert(data.size() == static_cast<std::size_t>(arrayRect_.volume()),
+                "array size mismatch: %zu elements for a volume of %lld",
+                data.size(), static_cast<long long>(arrayRect_.volume()));
+    reserveTiles();
+    const TileLines tl = tileLines(layout_);
+    const unsigned nchunks =
+        static_cast<unsigned>((layout_.tileVolume() + 63) / 64);
     const simd::SimdKernels &k = simd::active();
-    for (;;) {
-        std::int64_t outer = 0;
-        for (unsigned d = 1; d < nd; ++d)
-            outer += (pt[d] % tsz[d]) * mult[d];
-        Coord c = 0;
-        while (c < shape0) {
-            const Coord run_end =
-                std::min(shape0, (c / tile0 + 1) * tile0);
-            cell.assign(pt.begin(), pt.end());
-            cell[0] = c;
-            BitMatrix &bm = tile(layout_.tileOf(cell)).bits();
-            unsigned pos = static_cast<unsigned>(outer + c % tile0);
-            while (c < run_end) {
-                const unsigned clen = static_cast<unsigned>(
-                    std::min<Coord>(run_end - c, 64));
-                if (clen < 64)
-                    lanes.fill(0);
-                std::memcpy(lanes.data(), data.data() + i,
-                            clen * sizeof(float));
-                simd::lanesToPlanes(k, lanes.data(), words.data());
-                for (unsigned b = 0; b < 32; ++b)
-                    bm.row(wl + b).depositFrom(&words[b], pos, clen);
-                c += clen;
-                pos += clen;
-                i += clen;
-            }
+    parallelOver(layout_.numTiles(), [&](std::int64_t t) {
+        BitMatrix &bm = tiles_[static_cast<std::size_t>(t)]->bits();
+        bm.materialize();
+        std::array<std::uint32_t, 64> lanes{};
+        std::array<std::uint64_t, 32> words{};
+        for (unsigned c = 0; c < nchunks; ++c) {
+            lanes.fill(0);
+            std::uint64_t mask = 0;
+            forEachChunkRun(layout_, tl, t, c,
+                            [&](unsigned pos, std::size_t i, unsigned len) {
+                                std::memcpy(lanes.data() + pos,
+                                            data.data() + i,
+                                            len * sizeof(float));
+                                mask |= (len == 64 ? ~0ULL
+                                                   : (1ULL << len) - 1)
+                                        << pos;
+                            });
+            if (mask == 0)
+                continue;
+            simd::lanesToPlanes(k, lanes.data(), words.data());
+            for (unsigned b = 0; b < 32; ++b)
+                bm.row(wl + b).mergeWordMasked(c, words[b], mask);
         }
-        unsigned d = 1;
-        for (; d < nd; ++d) {
-            if (++pt[d] < shape[d])
-                break;
-            pt[d] = 0;
-        }
-        if (d >= nd)
-            break;
-    }
-    infs_assert(i == data.size(), "array size mismatch");
+    });
 }
 
 void
 BitAccurateFabric::storeArray(std::span<float> data, unsigned wl) const
 {
-    // Inverse of loadArray: extract each bit plane of a chunk word-level,
-    // then de-transpose into the dense array.
-    const auto &shape = layout_.shape();
-    const auto &tsz = layout_.tile();
-    const unsigned nd = static_cast<unsigned>(shape.size());
-    const Coord shape0 = shape[0];
-    const Coord tile0 = tsz[0];
-    auto *self = const_cast<BitAccurateFabric *>(this);
-
-    std::vector<std::int64_t> mult(nd);
-    std::int64_t m = 1;
-    for (unsigned d = 0; d < nd; ++d) {
-        mult[d] = m;
-        m *= tsz[d];
-    }
-
-    std::vector<Coord> pt(nd, 0), cell(nd, 0);
-    std::size_t i = 0;
-    std::array<std::uint64_t, 32> words;
-    std::array<std::uint32_t, 64> lanes;
+    // Inverse of loadArray, tile-parallel: read whole plane words, undo
+    // the transpose and scatter the in-array lanes back to their dense
+    // runs. Tiles write disjoint dense elements.
+    infs_assert(data.size() == static_cast<std::size_t>(arrayRect_.volume()),
+                "array size mismatch: %zu elements for a volume of %lld",
+                data.size(), static_cast<long long>(arrayRect_.volume()));
+    reserveTiles();
+    const TileLines tl = tileLines(layout_);
+    const unsigned nchunks =
+        static_cast<unsigned>((layout_.tileVolume() + 63) / 64);
     const simd::SimdKernels &k = simd::active();
-    for (;;) {
-        std::int64_t outer = 0;
-        for (unsigned d = 1; d < nd; ++d)
-            outer += (pt[d] % tsz[d]) * mult[d];
-        Coord c = 0;
-        while (c < shape0) {
-            const Coord run_end =
-                std::min(shape0, (c / tile0 + 1) * tile0);
-            cell.assign(pt.begin(), pt.end());
-            cell[0] = c;
-            const BitMatrix &bm =
-                self->tile(layout_.tileOf(cell)).bits();
-            unsigned pos = static_cast<unsigned>(outer + c % tile0);
-            while (c < run_end) {
-                const unsigned clen = static_cast<unsigned>(
-                    std::min<Coord>(run_end - c, 64));
-                for (unsigned b = 0; b < 32; ++b)
-                    bm.row(wl + b).extractTo(&words[b], pos, clen);
-                simd::planesToLanes(k, words.data(), lanes.data());
-                std::memcpy(data.data() + i, lanes.data(),
-                            clen * sizeof(float));
-                c += clen;
-                pos += clen;
-                i += clen;
-            }
+    parallelOver(layout_.numTiles(), [&](std::int64_t t) {
+        BitMatrix &bm = tiles_[static_cast<std::size_t>(t)]->bits();
+        bm.materialize();
+        std::array<std::uint32_t, 64> lanes{};
+        std::array<std::uint64_t, 32> words{};
+        for (unsigned c = 0; c < nchunks; ++c) {
+            for (unsigned b = 0; b < 32; ++b)
+                words[b] = bm.row(wl + b).words()[c];
+            simd::planesToLanes(k, words.data(), lanes.data());
+            forEachChunkRun(layout_, tl, t, c,
+                            [&](unsigned pos, std::size_t i, unsigned len) {
+                                std::memcpy(data.data() + i,
+                                            lanes.data() + pos,
+                                            len * sizeof(float));
+                            });
         }
-        unsigned d = 1;
-        for (; d < nd; ++d) {
-            if (++pt[d] < shape[d])
-                break;
-            pt[d] = 0;
-        }
-        if (d >= nd)
-            break;
-    }
+    });
 }
 
 float
@@ -739,15 +809,10 @@ BitAccurateFabric::moveRuns(
             sv.push_back({dt, dstPos, len, it->second, fill});
         });
     };
-    if (pool_ != nullptr && !pool_->inlineOnly() && src_tiles.size() > 1) {
-        pool_->parallelFor(static_cast<std::int64_t>(src_tiles.size()),
-                           [&](std::int64_t i) {
-                               gatherTile(static_cast<std::size_t>(i));
-                           });
-    } else {
-        for (std::size_t i = 0; i < src_tiles.size(); ++i)
-            gatherTile(i);
-    }
+    parallelOver(static_cast<std::int64_t>(src_tiles.size()),
+                 [&](std::int64_t i) {
+                     gatherTile(static_cast<std::size_t>(i));
+                 });
 
     // Bucket by destination tile (sequential and deterministic: source
     // order preserved; destination cells are unique, so write order is

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -101,11 +102,15 @@ class BitAccurateFabric
 
     /**
      * Transpose a dense array (lattice-anchored, dim 0 innermost) into
-     * the fabric at wordline slot @p wl.
+     * the fabric at wordline slot @p wl, tile-parallel when a pool is
+     * attached (DESIGN.md §10). Writes only the slot's in-array bits and
+     * leaves every FabricStats counter unchanged. @p data must hold
+     * exactly the array volume.
      */
     void loadArray(std::span<const float> data, unsigned wl);
 
-    /** Inverse of loadArray: read the fabric back to a dense array. */
+    /** Inverse of loadArray: read the fabric back to a dense array of
+     * exactly the array volume, tile-parallel. */
     void storeArray(std::span<float> data, unsigned wl) const;
 
     /** Read a single lattice element from slot @p wl. */
@@ -204,6 +209,15 @@ class BitAccurateFabric
     /** Allocate every tile in @p tiles (parallel loops must not race the
      * lazy allocation in tile()). */
     void ensureTiles(const std::vector<std::int64_t> &tiles);
+
+    /** Allocate every missing tile on the calling thread with deferred
+     * rows; the caller materializes each one before use. */
+    void reserveTiles() const;
+
+    /** fn(i) for i in [0, n): across the pool when one is attached, else
+     * inline. Touches no counter. */
+    void parallelOver(std::int64_t n,
+                      const std::function<void(std::int64_t)> &fn) const;
 
     /**
      * emit(srcPos, dstTile, dstPos, len, fill) for one coalesced run.

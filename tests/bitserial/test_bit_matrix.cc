@@ -159,5 +159,43 @@ TEST(BitMatrix, RandomElementRoundTrip)
     }
 }
 
+TEST(BitRow, InlineAndHeapWordsCopyAndMove)
+{
+    // Rows up to RowWords::kInline words live inside the BitRow, wider
+    // ones on the heap; copies must be deep and moves must carry the
+    // bits either way.
+    for (unsigned bits : {64u, 256u, 257u, 1000u}) {
+        BitRow a(bits);
+        a.setStrided(1, 7, bits / 7);
+        const unsigned set = a.popcount();
+        BitRow b = a;
+        b.set(0, true);
+        EXPECT_EQ(a.popcount(), set) << bits;
+        EXPECT_EQ(b.popcount(), set + 1) << bits;
+        BitRow c(8);
+        c = b;
+        EXPECT_TRUE(c == b) << bits;
+        BitRow d = std::move(c);
+        EXPECT_TRUE(d == b) << bits;
+        BitRow e(bits);
+        e = std::move(d);
+        EXPECT_TRUE(e == b) << bits;
+        EXPECT_EQ(e.words().size(), (bits + 63) / 64u) << bits;
+    }
+}
+
+TEST(BitMatrix, DeferredRowsMaterializeZeroed)
+{
+    BitMatrix m(16, 300, BitMatrix::Deferred{});
+    m.materialize();
+    for (unsigned wl = 0; wl < 16; ++wl) {
+        EXPECT_EQ(m.row(wl).bits(), 300u);
+        EXPECT_FALSE(m.row(wl).any());
+    }
+    m.set(3, 299, true);
+    m.materialize(); // Built once; a second call keeps the contents.
+    EXPECT_TRUE(m.get(3, 299));
+}
+
 } // namespace
 } // namespace infs

@@ -1,9 +1,10 @@
 /**
  * @file
  * Property tests for the word-parallel transpose paths (DESIGN.md §10):
- * the chunked bit-transpose in BitAccurateFabric::loadArray/storeArray
- * and the word-level element/range primitives it rests on must round-trip
- * bit-exactly for arbitrary shapes, tile sizes, and alignments — and the
+ * the tile-parallel bit-plane transpose in BitAccurateFabric::loadArray/
+ * storeArray and the word-level element/range primitives it rests on
+ * must round-trip bit-exactly for arbitrary shapes, tile sizes, and
+ * alignments — and the
  * bit-serial kernels must stop allocating once their scratch pool is warm.
  */
 
@@ -15,6 +16,7 @@
 #include "bitserial/bit_matrix.hh"
 #include "bitserial/compute_sram.hh"
 #include "sim/rng.hh"
+#include "sim/thread_pool.hh"
 #include "uarch/bit_exec.hh"
 
 namespace infs {
@@ -89,54 +91,181 @@ TEST(TransposeProperty, FillRangeMatchesBitReference)
     }
 }
 
+/** Fill every row of every tile with seeded random words. */
+void
+dirtyFabric(BitAccurateFabric &fab, std::uint64_t seed)
+{
+    Rng rng(seed);
+    for (std::int64_t t = 0; t < fab.layout().numTiles(); ++t) {
+        BitMatrix &bm = fab.tile(t).bits();
+        for (unsigned r = 0; r < bm.wordlines(); ++r)
+            for (unsigned w = 0; w < (bm.bitlines() + 63) / 64; ++w)
+                bm.row(r).mergeWordMasked(w, rng.next(), ~0ULL);
+    }
+}
+
+/** Lattice point of dense index @p i (dim 0 innermost). */
+std::vector<Coord>
+pointOf(std::size_t i, const std::vector<Coord> &shape)
+{
+    std::vector<Coord> pt(shape.size());
+    for (std::size_t d = 0; d < shape.size(); ++d) {
+        pt[d] = static_cast<Coord>(i % static_cast<std::size_t>(shape[d]));
+        i /= static_cast<std::size_t>(shape[d]);
+    }
+    return pt;
+}
+
+/**
+ * Stage @p in at slot @p wl into a pre-dirtied fabric and compare every
+ * row of every tile, bit for bit, against a per-element writeElement
+ * load into an identically dirtied reference; then read it back.
+ */
+void
+checkLoadStore(const std::vector<Coord> &shape, const std::vector<Coord> &tsz,
+               unsigned wl, ThreadPool *pool, std::uint64_t seed)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << "shape " << ::testing::PrintToString(shape) << " tile "
+                 << ::testing::PrintToString(tsz) << " wl " << wl
+                 << (pool ? " pooled" : " inline"));
+    TiledLayout lay(shape, tsz);
+    std::size_t vol = 1;
+    for (Coord c : shape)
+        vol *= static_cast<std::size_t>(c);
+    Rng rng(seed);
+    std::vector<float> in(vol), out(vol);
+    for (auto &v : in)
+        v = rng.nextFloat(-1e6f, 1e6f);
+
+    BitAccurateFabric fab(lay), ref(lay), before(lay);
+    fab.setThreadPool(pool);
+    dirtyFabric(fab, seed + 1);
+    dirtyFabric(ref, seed + 1);
+    dirtyFabric(before, seed + 1);
+
+    fab.loadArray(in, wl);
+    // In-array bitlines per tile; every other bitline of the slot is
+    // padding (partial tile or tile volume < bitlines).
+    std::vector<BitRow> inside(static_cast<std::size_t>(lay.numTiles()),
+                               BitRow(256));
+    for (std::size_t i = 0; i < vol; ++i) {
+        const std::vector<Coord> pt = pointOf(i, shape);
+        const std::int64_t t = lay.tileOf(pt);
+        const auto pos = static_cast<unsigned>(lay.positionInTile(pt));
+        ref.tile(t).bits().writeElement(pos, wl, 32,
+                                        std::bit_cast<std::uint32_t>(in[i]));
+        inside[static_cast<std::size_t>(t)].set(pos, true);
+    }
+
+    for (std::int64_t t = 0; t < lay.numTiles(); ++t) {
+        const BitMatrix &got = fab.tile(t).bits();
+        const BitMatrix &want = ref.tile(t).bits();
+        const BitMatrix &old = before.tile(t).bits();
+        const BitRow &in_tile = inside[static_cast<std::size_t>(t)];
+        for (unsigned r = 0; r < got.wordlines(); ++r) {
+            ASSERT_TRUE(got.row(r) == want.row(r))
+                << "tile " << t << " row " << r;
+            if (r < wl || r >= wl + 32) {
+                ASSERT_TRUE(got.row(r) == old.row(r))
+                    << "tile " << t << " row " << r << " outside the slot";
+                continue;
+            }
+            for (unsigned b = 0; b < got.bitlines(); ++b) {
+                if (!in_tile.get(b)) {
+                    ASSERT_EQ(got.row(r).get(b), old.row(r).get(b))
+                        << "tile " << t << " row " << r << " bitline " << b
+                        << " lies outside the array";
+                }
+            }
+        }
+    }
+
+    fab.storeArray(out, wl);
+    for (std::size_t i = 0; i < vol; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(in[i]),
+                  std::bit_cast<std::uint32_t>(out[i]))
+            << "elem " << i;
+    for (int probe = 0; probe < 8; ++probe) {
+        const std::size_t i = static_cast<std::size_t>(rng.next() % vol);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(fab.element(pointOf(i, shape),
+                                                           wl)),
+                  std::bit_cast<std::uint32_t>(in[i]));
+    }
+
+    // A fresh fabric allocates its tiles inside loadArray (rows built by
+    // the owning worker): same slot bits as the reference, zero elsewhere.
+    BitAccurateFabric fresh(lay);
+    fresh.setThreadPool(pool);
+    fresh.loadArray(in, wl);
+    std::vector<float> fresh_out(vol);
+    fresh.storeArray(fresh_out, wl);
+    for (std::size_t i = 0; i < vol; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(in[i]),
+                  std::bit_cast<std::uint32_t>(fresh_out[i]))
+            << "fresh elem " << i;
+    for (std::int64_t t = 0; t < lay.numTiles(); ++t) {
+        const BitMatrix &bm = fresh.tile(t).bits();
+        for (unsigned r = 0; r < bm.wordlines(); ++r) {
+            BitRow want(bm.bitlines());
+            if (r >= wl && r < wl + 32)
+                want = ref.tile(t).bits().row(r) &
+                       inside[static_cast<std::size_t>(t)];
+            ASSERT_TRUE(bm.row(r) == want) << "fresh tile " << t << " row "
+                                           << r;
+        }
+    }
+}
+
 TEST(TransposeProperty, FabricLoadStoreRoundTripRandomShapes)
 {
-    // The chunked 64-element bit-transpose must be the exact inverse of
-    // itself for any shape/tile combination, including tile sizes that
-    // do not divide the shape and runs that straddle 64-bit word edges.
+    // The tile-parallel bit-plane transpose must write exactly the
+    // in-array bits of its slot — identical to a per-element load — for
+    // any shape/tile combination, inline and across a pool: tiles that
+    // do not divide the shape, dim-0 runs shorter or longer than a plane
+    // word, and tiles narrower than the array.
+    ThreadPool pool4(4);
+    const std::vector<std::pair<std::vector<Coord>, std::vector<Coord>>>
+        fixed = {
+            {{37, 9}, {1, 16}},      // tile[0] == 1
+            {{30, 7, 5}, {4, 8, 8}}, // tile[0] == 4, partial along 1, 2
+            {{150, 5}, {64, 4}},     // tile[0] == 64
+            {{200, 3}, {100, 2}},    // tile[0] > 64, not a word multiple
+            {{300}, {256}},          // one-dim, partial last tile
+            {{13, 11}, {4, 8}},      // tile volume 32 < 256 bitlines
+        };
+    std::uint64_t seed = 100;
+    for (const auto &[shape, tsz] : fixed) {
+        checkLoadStore(shape, tsz, 3, nullptr, seed);
+        checkLoadStore(shape, tsz, 3, &pool4, seed);
+        ++seed;
+    }
+
     Rng rng(14);
     for (int iter = 0; iter < 25; ++iter) {
         const unsigned nd = 1 + static_cast<unsigned>(rng.next() % 3);
         std::vector<Coord> shape(nd), tsz(nd);
-        std::int64_t vol = 1;
-        for (unsigned d = 0; d < nd; ++d) {
+        for (unsigned d = 0; d < nd; ++d)
             shape[d] = 2 + static_cast<Coord>(rng.next() % (nd > 2 ? 9 : 40));
-            vol *= shape[d];
-        }
         // Tile volume must fit the 256 bitlines.
         for (unsigned d = 0; d < nd; ++d)
             tsz[d] = 1 + static_cast<Coord>(
                              rng.next() % std::min<Coord>(shape[d], 6));
-        TiledLayout lay(shape, tsz);
-        BitAccurateFabric fab(lay);
-
-        std::vector<float> in(static_cast<std::size_t>(vol)),
-            out(static_cast<std::size_t>(vol));
-        for (auto &v : in)
-            v = rng.nextFloat(-1e6f, 1e6f);
-        fab.loadArray(in, 3);
-        fab.storeArray(out, 3);
-        for (std::size_t i = 0; i < in.size(); ++i)
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(in[i]),
-                      std::bit_cast<std::uint32_t>(out[i]))
-                << "iter " << iter << " elem " << i;
-
-        // The dense order must be the lattice order: spot-check elements
-        // against the per-point accessor.
-        for (int probe = 0; probe < 8; ++probe) {
-            std::vector<Coord> pt(nd);
-            std::size_t idx = 0;
-            std::int64_t mul = 1;
-            for (unsigned d = 0; d < nd; ++d) {
-                pt[d] = static_cast<Coord>(
-                    rng.next() % static_cast<std::uint64_t>(shape[d]));
-                idx += static_cast<std::size_t>(pt[d] * mul);
-                mul *= shape[d];
-            }
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(fab.element(pt, 3)),
-                      std::bit_cast<std::uint32_t>(in[idx]));
-        }
+        const unsigned wl = static_cast<unsigned>(rng.next() % (256 - 32));
+        checkLoadStore(shape, tsz, wl, iter % 2 ? &pool4 : nullptr,
+                       seed++);
     }
+}
+
+TEST(TransposeProperty, LoadStoreRejectWrongSpanSize)
+{
+    // The size check runs before any write: a short span must not be
+    // read or written past its end.
+    TiledLayout lay({10, 10}, {4, 4});
+    BitAccurateFabric fab(lay);
+    std::vector<float> shortSpan(99);
+    EXPECT_DEATH(fab.loadArray(shortSpan, 0), "array size mismatch");
+    EXPECT_DEATH(fab.storeArray(shortSpan, 0), "array size mismatch");
 }
 
 TEST(TransposeProperty, KernelsStopAllocatingOnceScratchIsWarm)

@@ -202,6 +202,80 @@ TEST(ParallelFabric, FaultInjectionIdenticalAcrossPoolSizes)
     }
 }
 
+/** Every deterministic FabricStats field (all but the per-kind wall
+ * time). */
+void
+expectFabricCountersEqual(const FabricStats &a, const FabricStats &b)
+{
+    for (std::size_t k = 0; k < a.byKind.size(); ++k)
+        EXPECT_EQ(a.byKind[k].count, b.byKind[k].count) << "kind " << k;
+    EXPECT_EQ(a.bankOps, b.bankOps);
+    EXPECT_EQ(a.maskCacheHits, b.maskCacheHits);
+    EXPECT_EQ(a.maskCacheMisses, b.maskCacheMisses);
+    EXPECT_EQ(a.scratchAllocs, b.scratchAllocs);
+}
+
+/** Staging and readback are the transpose unit, not commands: they must
+ * leave every fabric counter alone (the occupancy history feeds
+ * chooseSchedule), and their bits must not depend on the pool size. */
+TEST(ParallelFabric, StagingLeavesCountersAndBitsIdentical)
+{
+    SystemConfig cfg = testSystemConfig();
+    AddressMap map(cfg.l3);
+    JitCompiler jit(cfg);
+    // Partial tiles along both dims, 4-element dim-0 runs.
+    const Coord n0 = 50, n1 = 40;
+    TdfgGraph g(2, "stencil2d");
+    NodeId a0 = g.tensor(0, HyperRect({0, 0}, {n0 - 2, n1}));
+    NodeId a1 = g.tensor(0, HyperRect({1, 0}, {n0 - 1, n1}));
+    NodeId a2 = g.tensor(0, HyperRect({2, 0}, {n0, n1}));
+    g.output(g.compute(BitOp::Add,
+                       {g.move(a0, 0, 1), a1, g.move(a2, 0, -1)}),
+             1);
+    TiledLayout lay({n0, n1}, {4, 64});
+    auto prog = jit.lower(g, lay, map);
+    ASSERT_GT(prog->numInterShift, 0u);
+
+    const std::size_t vol = static_cast<std::size_t>(n0 * n1);
+    std::vector<float> va(vol);
+    Rng rng(19);
+    for (auto &v : va)
+        v = rng.nextFloat(-8, 8);
+
+    auto run = [&](ThreadPool *pool) {
+        BitAccurateFabric fab(lay);
+        fab.setThreadPool(pool);
+        std::vector<float> out(vol);
+        fab.loadArray(va, slotOf(*prog, 0));
+        // Counters start at zero and staging leaves them there.
+        expectFabricCountersEqual(fab.stats(), FabricStats{});
+        fab.execute(*prog);
+        const FabricStats executed = fab.stats();
+        EXPECT_GT(executed.maskCacheMisses, 0u);
+        fab.loadArray(va, slotOf(*prog, 0));
+        expectFabricCountersEqual(fab.stats(), executed);
+        fab.execute(*prog);
+        const FabricStats twice = fab.stats();
+        fab.storeArray(out, outputSlotOf(*prog, 1));
+        fab.storeArray(out, outputSlotOf(*prog, 1));
+        expectFabricCountersEqual(fab.stats(), twice);
+        return out;
+    };
+
+    const std::vector<float> seq = run(nullptr);
+    ThreadPool pool1(1), pool4(4);
+    const std::vector<float> one = run(&pool1);
+    const std::vector<float> four = run(&pool4);
+    for (std::size_t i = 0; i < vol; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(seq[i]),
+                  std::bit_cast<std::uint32_t>(one[i]))
+            << i;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(seq[i]),
+                  std::bit_cast<std::uint32_t>(four[i]))
+            << i;
+    }
+}
+
 // ----------------------------------------------------------------------
 // System level: full Executor runs, hostThreads=1 vs hostThreads=8.
 // ----------------------------------------------------------------------
