@@ -1,6 +1,7 @@
 #include "core/backend.hh"
 
 #include <array>
+#include <utility>
 
 #include "energy/energy.hh"
 #include "mem/address_map.hh"
@@ -67,21 +68,22 @@ planPrimaryJob(const Workload &w, const SystemConfig &cfg,
                ThreadPool *pool, std::int64_t volume_cap)
 {
     // §4.1 layout choice exactly as the executor resolves it: hints from
-    // every tensor phase, one primary layout for the region.
+    // every tensor phase, one primary layout for the region. Each phase's
+    // first-iteration graph is built once and lowered below.
+    std::vector<std::pair<const Phase *, TdfgGraph>> graphs;
     LayoutHints hints;
-    bool have_tdfg = false;
     for (const Phase &p : w.phases) {
         if (!p.buildTdfg)
             continue;
-        LayoutHints h = LayoutHints::fromGraph(p.buildTdfg(0));
+        graphs.emplace_back(&p, p.buildTdfg(0));
+        LayoutHints h = LayoutHints::fromGraph(graphs.back().second);
         hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
         hints.broadcastDims.insert(h.broadcastDims.begin(),
                                    h.broadcastDims.end());
         if (h.reduceDim)
             hints.reduceDim = h.reduceDim;
-        have_tdfg = true;
     }
-    if (!have_tdfg)
+    if (graphs.empty())
         return std::nullopt;
     TilingPolicy policy(cfg.l3);
     TileDecision tile = policy.choose(w.primaryShape, w.elemBytes, hints);
@@ -101,11 +103,8 @@ planPrimaryJob(const Workload &w, const SystemConfig &cfg,
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     JitCompiler jit(cfg);
     jit.setThreadPool(pool);
-    for (const Phase &p : w.phases) {
-        if (!p.buildTdfg)
-            continue;
-        TdfgGraph g = p.buildTdfg(0);
-        if (!p.latticeShape.empty() || g.dims() != job.layout.dims())
+    for (const auto &[p, g] : graphs) {
+        if (!p->latticeShape.empty() || g.dims() != job.layout.dims())
             continue; // Primary-layout phases only.
         auto prog_or = jit.tryLower(g, job.layout, map);
         if (!prog_or)
@@ -117,8 +116,7 @@ planPrimaryJob(const Workload &w, const SystemConfig &cfg,
 }
 
 TimingReplayResult
-replayTiming(const SystemConfig &cfg, const BackendJob &job,
-             ThreadPool *pool)
+replayTiming(const SystemConfig &cfg, const BackendJob &job, ThreadPool *)
 {
     // Private system models, fault injection off: the replay is a pure
     // function of (program, layout, config), so fabric and timing report
@@ -128,7 +126,6 @@ replayTiming(const SystemConfig &cfg, const BackendJob &job,
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     EnergyAccount energy;
     TensorController tc(cfg, noc, map, energy, nullptr);
-    tc.setThreadPool(pool);
     InMemExecResult r = tc.execute(*job.prog, job.layout, 0);
     TimingReplayResult out;
     out.simCycles = r.cycles;

@@ -112,14 +112,16 @@ std::optional<BackendJob> planPrimaryJob(const Workload &w,
 
 /** Cycle replay of a lowered program on private system models (fault
  * injection off): the timing half shared by the fabric and timing
- * backends, reusing latency.hh via the tensor controller. */
+ * backends, reusing latency.hh via the tensor controller. The replay is
+ * sequential; the pool argument is accepted and ignored. */
 struct TimingReplayResult {
     Tick simCycles = 0;
     double nocHopBytes = 0.0;
     double energyJoules = 0.0;
 };
 TimingReplayResult replayTiming(const SystemConfig &cfg,
-                                const BackendJob &job, ThreadPool *pool);
+                                const BackendJob &job,
+                                ThreadPool *pool = nullptr);
 
 /**
  * One fat-binary schedule candidate: a lowered program for one candidate

@@ -36,7 +36,7 @@ class FabricBackend final : public ExecBackend
         res.bitAccurate = true;
         res.fabric = fab.stats();
 
-        TimingReplayResult t = replayTiming(cfg_, job, pool_);
+        TimingReplayResult t = replayTiming(cfg_, job);
         res.simCycles = t.simCycles;
         res.nocHopBytes = t.nocHopBytes;
         res.energyJoules = t.energyJoules;

@@ -29,7 +29,7 @@ class TimingBackend final : public ExecBackend
     {
         infs_assert(job.prog != nullptr, "timing backend needs a program");
         BackendResult res;
-        TimingReplayResult t = replayTiming(cfg_, job, pool_);
+        TimingReplayResult t = replayTiming(cfg_, job);
         res.simCycles = t.simCycles;
         res.nocHopBytes = t.nocHopBytes;
         res.energyJoules = t.energyJoules;

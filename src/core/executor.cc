@@ -215,21 +215,24 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     if (w.assumeTransposed)
         jit_enabled = false;
 
-    // §4.1: pick the transposed layout from the first tensor phase's
-    // hints; one primary layout serves all arrays of the region.
+    // §4.1: pick the transposed layout from the tensor phases' hints;
+    // one primary layout serves all arrays of the region. Each phase's
+    // first-iteration graph is built once, here, and reused by the plan
+    // and the lowering below (a build may run a full e-graph saturation).
+    std::vector<std::optional<TdfgGraph>> graphs0(w.phases.size());
     LayoutHints hints;
     bool have_tdfg = false;
-    for (const Phase &p : w.phases) {
-        if (p.buildTdfg) {
-            TdfgGraph g = p.buildTdfg(0);
-            LayoutHints h = LayoutHints::fromGraph(g);
-            hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
-            hints.broadcastDims.insert(h.broadcastDims.begin(),
-                                       h.broadcastDims.end());
-            if (h.reduceDim)
-                hints.reduceDim = h.reduceDim;
-            have_tdfg = true;
-        }
+    for (std::size_t i = 0; i < w.phases.size(); ++i) {
+        if (!w.phases[i].buildTdfg)
+            continue;
+        graphs0[i] = w.phases[i].buildTdfg(0);
+        LayoutHints h = LayoutHints::fromGraph(*graphs0[i]);
+        hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
+        hints.broadcastDims.insert(h.broadcastDims.begin(),
+                                   h.broadcastDims.end());
+        if (h.reduceDim)
+            hints.reduceDim = h.reduceDim;
+        have_tdfg = true;
     }
     TilingPolicy policy(cfg.l3);
     TileDecision tile;
@@ -327,7 +330,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
         Error error;          ///< DegradeTdfg diagnostic.
         // Rank-1 placeholder until the phase's graph is built (TdfgGraph
         // has no empty state).
-        TdfgGraph g0{1};      ///< First-iteration graph (set when built).
+        TdfgGraph g0{1};      ///< First-iteration graph (tDFG phases).
         bool usesOwnLayout = false;
         TiledLayout ownLayout; ///< Phase-specific layout when set.
         std::string memoKey;   ///< Non-empty on the memoized path.
@@ -340,14 +343,15 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     };
     std::vector<PhasePlan> plans;
     plans.reserve(w.phases.size());
-    for (const Phase &p : w.phases) {
+    for (std::size_t i = 0; i < w.phases.size(); ++i) {
+        const Phase &p = w.phases[i];
         PhasePlan plan;
         plan.phase = &p;
         if (!p.buildTdfg) {
             plans.push_back(std::move(plan));
             continue;
         }
-        plan.g0 = p.buildTdfg(0);
+        plan.g0 = std::move(*graphs0[i]);
 
         // Pre-offload verification (DESIGN.md §9): a graph that fails its
         // invariants never reaches the offload decision or the JIT.
@@ -540,8 +544,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
                     sc.layout = candLayouts[c];
                     sc.prog = *plan.candProgs[c];
                     BackendJob job{candLayouts[c], sc.prog, primary_elems};
-                    sc.replayCycles =
-                        replayTiming(cfg, job, &sys_.pool()).simCycles;
+                    sc.replayCycles = replayTiming(cfg, job).simCycles;
                     cands.push_back(std::move(sc));
                     ids.push_back(c);
                 }

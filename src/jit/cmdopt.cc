@@ -114,10 +114,10 @@ sameEffect(const InMemCommand &a, const InMemCommand &b)
 
 /**
  * The per-bank busy-time charge TensorController::execute levies for one
- * InterShift, reproduced bit-for-bit (maskedElements walk, H-tree
- * serialization truncation, NoC-injection serialization when the tile
- * delta crosses a bank). The coalescing guard compares these so a merged
- * command never charges any bank more than the originals did.
+ * InterShift, reproduced bit-for-bit (the shared maskedElements count,
+ * H-tree serialization truncation, NoC-injection serialization when the
+ * tile delta crosses a bank). The coalescing guard compares these so a
+ * merged command never charges any bank more than the originals did.
  */
 Tick
 interShiftLatency(const InMemCommand &c, const TiledLayout &layout,
@@ -125,20 +125,8 @@ interShiftLatency(const InMemCommand &c, const TiledLayout &layout,
 {
     const unsigned bits = dtypeBits(cfg.tensor.elemType);
     const unsigned elem_bytes = bits / 8;
-    const HyperRect &t = c.tensor;
-    std::uint64_t elems = 0;
-    if (!t.empty()) {
-        const Coord tile_k = layout.tileSize(c.dim);
-        std::uint64_t covered = 0;
-        for (Coord x = t.lo(c.dim); x < t.hi(c.dim); ++x) {
-            Coord pos = ((x % tile_k) + tile_k) % tile_k;
-            if (pos >= c.maskLo && pos < c.maskHi)
-                ++covered;
-        }
-        elems = covered *
-                static_cast<std::uint64_t>(t.volume() / t.size(c.dim));
-    }
-    const double bytes_once = static_cast<double>(elems) * elem_bytes;
+    const double bytes_once =
+        static_cast<double>(maskedElements(c, layout)) * elem_bytes;
     const double banks_involved =
         static_cast<double>(std::max<std::size_t>(c.banks.size(), 1));
     Tick lat = dtypeBits(c.dtype) + 8 +

@@ -174,6 +174,47 @@ TiledLayout::countTilesIntersecting(const HyperRect &r) const
     return count;
 }
 
+std::uint64_t
+maskedCoordCount(Coord lo, Coord hi, Coord tile_k, Coord mask_lo,
+                 Coord mask_hi)
+{
+    const Coord m_lo = std::max<Coord>(mask_lo, 0);
+    const Coord m_hi = std::min<Coord>(mask_hi, tile_k);
+    if (hi <= lo || m_hi <= m_lo)
+        return 0;
+    const Coord width = m_hi - m_lo;
+    // Masked coordinates in [0, x), extended to negative x so that
+    // below(hi) - below(lo) counts [lo, hi) for any sign.
+    auto below = [&](Coord x) {
+        Coord q = x / tile_k;
+        Coord r = x % tile_k;
+        if (r < 0) {
+            --q;
+            r += tile_k;
+        }
+        return q * width + std::clamp<Coord>(r - m_lo, 0, width);
+    };
+    return static_cast<std::uint64_t>(below(hi) - below(lo));
+}
+
+std::uint64_t
+maskedElements(const InMemCommand &cmd, const TiledLayout &layout)
+{
+    const HyperRect &t = cmd.tensor;
+    if (t.empty())
+        return 0;
+    // Compute commands carry a positional mask only when the JIT set one
+    // (reduction rounds); an unset mask (maskHi <= maskLo) means all cells.
+    if ((cmd.kind == CmdKind::Compute && cmd.maskHi <= cmd.maskLo) ||
+        cmd.kind == CmdKind::BroadcastBl || cmd.kind == CmdKind::BroadcastVal)
+        return static_cast<std::uint64_t>(t.volume());
+    const std::uint64_t covered =
+        maskedCoordCount(t.lo(cmd.dim), t.hi(cmd.dim),
+                         layout.tileSize(cmd.dim), cmd.maskLo, cmd.maskHi);
+    return covered *
+           static_cast<std::uint64_t>(t.volume() / t.size(cmd.dim));
+}
+
 std::vector<BankId>
 TiledLayout::banksFor(const HyperRect &r, const AddressMap &map) const
 {

@@ -9,10 +9,12 @@
 #ifndef INFS_JIT_TILING_HH
 #define INFS_JIT_TILING_HH
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "jit/commands.hh"
 #include "mem/address_map.hh"
 #include "sim/config.hh"
 #include "sim/expected.hh"
@@ -93,6 +95,26 @@ class TiledLayout
     std::vector<Coord> tile_;
     std::vector<Coord> grid_;
 };
+
+/**
+ * Coordinates x in [@p lo, @p hi) whose in-tile position lies inside the
+ * positional mask [@p mask_lo, @p mask_hi). The position is x mod
+ * @p tile_k with floor division, so negative x wrap the way lattice
+ * coordinates map to tiles; the mask is clamped to [0, tile_k). O(1):
+ * whole tile periods times the mask width, plus the partial periods.
+ */
+std::uint64_t maskedCoordCount(Coord lo, Coord hi, Coord tile_k,
+                               Coord mask_lo, Coord mask_hi);
+
+/**
+ * Elements of @p cmd's tensor selected by its positional mask over
+ * @p layout: every element for broadcasts and for unmasked Compute
+ * commands (maskHi <= maskLo), else the masked dim-k coordinates times
+ * the cross-section. The one count the tensor controller's timing model
+ * and cmdopt's coalescing guard both charge by.
+ */
+std::uint64_t maskedElements(const InMemCommand &cmd,
+                             const TiledLayout &layout);
 
 /** Result of the runtime's tile-size search. */
 struct TileDecision {

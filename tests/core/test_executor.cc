@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
+
 #include "core/executor.hh"
+#include "workloads/registry.hh"
 #include "workloads/workloads.hh"
 
 namespace infs {
@@ -207,6 +213,106 @@ TEST_F(ParadigmTest, Fig2CurveInL3FavorsLargeSizes)
                       double(runOn(sys, Paradigm::InL3, w).cycles);
     }
     EXPECT_GT(ratio_large, ratio_small);
+}
+
+/** buildTdfg calls of one workload, keyed by (phase index, iteration). */
+struct BuildCounts {
+    std::mutex mu;
+    std::map<std::pair<std::size_t, std::uint64_t>, unsigned> calls;
+
+    unsigned
+    of(std::size_t phase, std::uint64_t iter)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = calls.find({phase, iter});
+        return it == calls.end() ? 0 : it->second;
+    }
+};
+
+/** Wrap every phase's buildTdfg of @p w so that it counts its calls. */
+std::shared_ptr<BuildCounts>
+countBuilds(Workload &w)
+{
+    auto counts = std::make_shared<BuildCounts>();
+    for (std::size_t i = 0; i < w.phases.size(); ++i) {
+        Phase &p = w.phases[i];
+        if (!p.buildTdfg)
+            continue;
+        p.buildTdfg = [counts, i, build = p.buildTdfg](std::uint64_t it) {
+            {
+                std::lock_guard<std::mutex> lock(counts->mu);
+                ++counts->calls[{i, it}];
+            }
+            return build(it);
+        };
+    }
+    return counts;
+}
+
+TEST(GraphBuilds, ExecutorBuildsEachPhaseGraphOnce)
+{
+    // The layout hints, the plan and the lowering share one graph per
+    // phase; later iterations are built only by non-memoized phases that
+    // run in memory, each exactly once.
+    for (bool transposed : {false, true}) {
+        for (const BenchScenario &sc : benchRegistry()) {
+            SCOPED_TRACE(std::string(sc.name) +
+                         (transposed ? " transposed" : " cold"));
+            Workload w = sc.quick();
+            w.assumeTransposed = transposed;
+            auto counts = countBuilds(w);
+            InfinitySystem sys(testSystemConfig());
+            Executor(sys, Paradigm::InfS).run(w);
+            for (std::size_t i = 0; i < w.phases.size(); ++i) {
+                const Phase &p = w.phases[i];
+                if (!p.buildTdfg)
+                    continue;
+                EXPECT_EQ(counts->of(i, 0), 1u) << p.name;
+                for (std::uint64_t it = 1; it < p.iterations; ++it)
+                    EXPECT_LE(counts->of(i, it),
+                              p.sameTdfgEachIter ? 0u : 1u)
+                        << p.name << " iteration " << it;
+            }
+        }
+    }
+}
+
+TEST(GraphBuilds, NonMemoizedPhaseBuildsEachIterationOnce)
+{
+    // gauss_elim re-lowers every iteration. At n = 32 the array tiles, and
+    // steady state forces the phase in memory, so every iteration's graph
+    // is lowered: each must be built exactly once.
+    Workload w = makeGaussElim(32);
+    w.assumeTransposed = true;
+    auto counts = countBuilds(w);
+    InfinitySystem sys(testSystemConfig());
+    ExecStats st = Executor(sys, Paradigm::InfS).run(w);
+    ASSERT_EQ(st.regionsDegraded, 0u);
+    ASSERT_GT(st.inMemOps, 0u);
+    ASSERT_EQ(w.phases.size(), 1u);
+    ASSERT_FALSE(w.phases[0].sameTdfgEachIter);
+    for (std::uint64_t it = 0; it < w.phases[0].iterations; ++it)
+        EXPECT_EQ(counts->of(0, it), 1u) << "iteration " << it;
+    EXPECT_EQ(counts->calls.size(), w.phases[0].iterations);
+}
+
+TEST(GraphBuilds, PlanPrimaryJobBuildsEachPhaseGraphOnce)
+{
+    const SystemConfig cfg = testSystemConfig();
+    for (const BenchScenario &sc : benchRegistry()) {
+        SCOPED_TRACE(sc.name);
+        Workload w = sc.quick();
+        auto counts = countBuilds(w);
+        planPrimaryJob(w, cfg, nullptr, 0);
+        std::size_t expected = 0;
+        for (std::size_t i = 0; i < w.phases.size(); ++i) {
+            if (!w.phases[i].buildTdfg)
+                continue;
+            ++expected;
+            EXPECT_EQ(counts->of(i, 0), 1u) << w.phases[i].name;
+        }
+        EXPECT_EQ(counts->calls.size(), expected);
+    }
 }
 
 } // namespace

@@ -96,8 +96,8 @@ expectOptimizerSound(const BackendJob &raw, const std::string &what)
     EXPECT_LE(opt.prog->numCompute, raw.prog->numCompute) << what;
     EXPECT_LE(opt.prog->numBroadcast, raw.prog->numBroadcast) << what;
     EXPECT_LE(opt.prog->numSync, raw.prog->numSync) << what;
-    EXPECT_LE(replayTiming(cfg, opt, nullptr).simCycles,
-              replayTiming(cfg, raw, nullptr).simCycles)
+    EXPECT_LE(replayTiming(cfg, opt).simCycles,
+              replayTiming(cfg, raw).simCycles)
         << what;
 }
 

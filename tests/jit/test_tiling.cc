@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "jit/tiling.hh"
+#include "sim/rng.hh"
 
 namespace infs {
 namespace {
@@ -197,6 +201,117 @@ TEST(TiledLayout, FitsChecksCapacity)
     EXPECT_TRUE(ok.fits(map));
     TiledLayout too_big({8192, 1024}, {16, 16});
     EXPECT_FALSE(too_big.fits(map));
+}
+
+/** Reference for maskedCoordCount: the per-coordinate walk it replaced. */
+std::uint64_t
+walkMaskedCoords(Coord lo, Coord hi, Coord tile_k, Coord mask_lo,
+                 Coord mask_hi)
+{
+    std::uint64_t covered = 0;
+    for (Coord x = lo; x < hi; ++x) {
+        Coord pos = ((x % tile_k) + tile_k) % tile_k;
+        if (pos >= mask_lo && pos < mask_hi)
+            ++covered;
+    }
+    return covered;
+}
+
+/** Reference for maskedElements: the tensor controller's former count. */
+std::uint64_t
+walkMaskedElements(const InMemCommand &cmd, const TiledLayout &layout)
+{
+    const HyperRect &t = cmd.tensor;
+    if (t.empty())
+        return 0;
+    if ((cmd.kind == CmdKind::Compute && cmd.maskHi <= cmd.maskLo) ||
+        cmd.kind == CmdKind::BroadcastBl || cmd.kind == CmdKind::BroadcastVal)
+        return static_cast<std::uint64_t>(t.volume());
+    return walkMaskedCoords(t.lo(cmd.dim), t.hi(cmd.dim),
+                            layout.tileSize(cmd.dim), cmd.maskLo,
+                            cmd.maskHi) *
+           static_cast<std::uint64_t>(t.volume() / t.size(cmd.dim));
+}
+
+Coord
+uniform(Rng &rng, Coord lo, Coord hi)
+{
+    return lo + static_cast<Coord>(
+                    rng.nextBounded(static_cast<std::uint64_t>(hi - lo)));
+}
+
+TEST(MaskedCount, EdgeCases)
+{
+    // Empty and inverted ranges, empty and inverted masks.
+    EXPECT_EQ(maskedCoordCount(5, 5, 8, 0, 8), 0u);
+    EXPECT_EQ(maskedCoordCount(9, 2, 8, 0, 8), 0u);
+    EXPECT_EQ(maskedCoordCount(0, 64, 8, 3, 3), 0u);
+    EXPECT_EQ(maskedCoordCount(0, 64, 8, 6, 2), 0u);
+    // Masks wholly outside [0, tile_k) select nothing; partly outside
+    // ones are clamped.
+    EXPECT_EQ(maskedCoordCount(0, 64, 8, 8, 16), 0u);
+    EXPECT_EQ(maskedCoordCount(0, 64, 8, -4, 0), 0u);
+    EXPECT_EQ(maskedCoordCount(0, 64, 8, -4, 2), 16u);
+    EXPECT_EQ(maskedCoordCount(0, 64, 8, 6, 100), 16u);
+    // Negative coordinates wrap with floor division: -1 sits at 7.
+    EXPECT_EQ(maskedCoordCount(-1, 0, 8, 7, 8), 1u);
+    EXPECT_EQ(maskedCoordCount(-9, -8, 8, 7, 8), 1u);
+    EXPECT_EQ(maskedCoordCount(-16, 16, 8, 0, 1), 4u);
+    // O(1): a 2^41-coordinate extent answers at once.
+    const Coord big = Coord{1} << 40;
+    EXPECT_EQ(maskedCoordCount(-big, big, 64, 10, 42),
+              static_cast<std::uint64_t>(2 * big / 64 * 32));
+}
+
+TEST(MaskedCount, ClosedFormMatchesCoordinateWalk)
+{
+    Rng rng(1313);
+    for (int iter = 0; iter < 20000; ++iter) {
+        const Coord tile_k = uniform(rng, 1, 71);
+        const Coord lo = uniform(rng, -300, 300);
+        const Coord hi = lo + uniform(rng, -4, 400);
+        // Masks from wholly below 0 to wholly past tile_k, including
+        // empty and inverted ones.
+        const Coord mask_lo = uniform(rng, -tile_k - 2, 2 * tile_k + 2);
+        const Coord mask_hi = mask_lo + uniform(rng, -3, tile_k + 4);
+        ASSERT_EQ(maskedCoordCount(lo, hi, tile_k, mask_lo, mask_hi),
+                  walkMaskedCoords(lo, hi, tile_k, mask_lo, mask_hi))
+            << "[" << lo << ", " << hi << ") tile " << tile_k << " mask ["
+            << mask_lo << ", " << mask_hi << ")";
+    }
+}
+
+TEST(MaskedCount, CommandElementsMatchCoordinateWalk)
+{
+    const CmdKind kinds[] = {CmdKind::Compute, CmdKind::IntraShift,
+                             CmdKind::InterShift, CmdKind::BroadcastBl,
+                             CmdKind::BroadcastVal};
+    Rng rng(4242);
+    unsigned reduction_masks = 0;
+    for (int iter = 0; iter < 5000; ++iter) {
+        const unsigned nd = 1 + static_cast<unsigned>(rng.nextBounded(3));
+        std::vector<Coord> shape(nd), tile(nd), lo(nd), hi(nd);
+        for (unsigned d = 0; d < nd; ++d) {
+            tile[d] = uniform(rng, 1, 71);
+            shape[d] = tile[d] * uniform(rng, 1, 5);
+            lo[d] = uniform(rng, -2 * tile[d], shape[d]);
+            hi[d] = lo[d] + uniform(rng, -1, 3 * tile[d]);
+        }
+        const TiledLayout layout(shape, tile);
+        InMemCommand cmd;
+        cmd.kind = kinds[rng.nextBounded(std::size(kinds))];
+        cmd.tensor = HyperRect(lo, hi);
+        cmd.dim = static_cast<unsigned>(rng.nextBounded(nd));
+        const Coord tk = tile[cmd.dim];
+        cmd.maskLo = uniform(rng, -tk, 2 * tk);
+        cmd.maskHi = cmd.maskLo + uniform(rng, -2, tk + 2);
+        if (cmd.kind == CmdKind::Compute && cmd.maskHi > cmd.maskLo)
+            ++reduction_masks;
+        ASSERT_EQ(maskedElements(cmd, layout),
+                  walkMaskedElements(cmd, layout))
+            << cmd.str();
+    }
+    EXPECT_GT(reduction_masks, 100u);
 }
 
 } // namespace

@@ -215,7 +215,7 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
                 row.commands =
                     static_cast<unsigned>(job->prog->commands.size());
                 row.jobSimCycles = static_cast<std::uint64_t>(
-                    replayTiming(cfg, *job, &sys.pool()).simCycles);
+                    replayTiming(cfg, *job).simCycles);
             }
             continue;
         }
