@@ -3,7 +3,8 @@
  * Host-side performance microbenchmarks (google-benchmark): the cost of
  * the simulator's own hot paths — bit-serial ops over a 256x256 array,
  * the TTU transpose, Alg. 1 decomposition, Alg. 2 lowering, JIT lowering
- * of a full stencil, and e-graph optimization.
+ * of a full stencil, and e-graph optimization (a 1-D stencil and
+ * conv2d at 128x128).
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "egraph/egraph.hh"
 #include "jit/jit.hh"
 #include "sim/rng.hh"
+#include "workloads/workloads.hh"
 
 namespace infs {
 namespace {
@@ -131,6 +133,22 @@ BM_EGraphOptimizeStencil(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EGraphOptimizeStencil);
+
+void
+BM_EGraphOptimizeConv2d(benchmark::State &state)
+{
+    // The static compile makeConv2d(128, 128) runs once per Workload.
+    const TdfgGraph g = conv2dTdfg(128, 128);
+    for (auto _ : state) {
+        TdfgOptimizer opt;
+        benchmark::DoNotOptimize(opt.optimize(g));
+        state.counters["nodes_added"] =
+            static_cast<double>(opt.nodesAdded());
+        state.counters["hashcons_hits"] =
+            static_cast<double>(opt.hashconsHits());
+    }
+}
+BENCHMARK(BM_EGraphOptimizeConv2d)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace infs

@@ -1,6 +1,7 @@
 #include "egraph/egraph.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -50,16 +51,9 @@ EGraph::find(EClassId id) const
         parent_[id] = parent_[parent_[id]]; // Path halving.
         id = parent_[id];
     }
+    if (reads_)
+        reads_->push_back({id, version_[id]});
     return id;
-}
-
-ENode
-EGraph::canonicalize(const ENode &n) const
-{
-    ENode c = n;
-    for (EClassId &ch : c.children)
-        ch = find(ch);
-    return c;
 }
 
 void
@@ -120,23 +114,30 @@ EGraph::domainOf(const ENode &n, HyperRect &out, bool &infinite) const
 EClassId
 EGraph::add(ENode n)
 {
-    ENode c = canonicalize(n);
-    auto it = hashcons_.find(c);
-    if (it != hashcons_.end())
+    for (EClassId &ch : n.children) // Canonical children.
+        ch = find(ch);
+    auto it = hashcons_.find(n);
+    if (it != hashcons_.end()) {
+        ++hashconsHits_;
         return find(it->second);
+    }
+    ++nodesAdded_;
 
     HyperRect dom;
     bool infinite = false;
-    domainOf(c, dom, infinite);
+    domainOf(n, dom, infinite);
 
     EClassId id = static_cast<EClassId>(classes_.size());
     EClass cls;
-    cls.nodes.push_back(c);
+    cls.nodes.push_back(n);
     cls.domain = dom;
     cls.infiniteDomain = infinite;
     classes_.push_back(std::move(cls));
     parent_.push_back(id);
-    hashcons_.emplace(std::move(c), id);
+    version_.push_back(++clock_);
+    hashcons_.emplace(std::move(n), id);
+    if (reads_)
+        reads_->push_back({id, version_[id]});
     return id;
 }
 
@@ -174,8 +175,11 @@ EGraph::merge(EClassId a, EClassId b)
     parent_[b] = a;
     auto &na = classes_[a].nodes;
     auto &nb = classes_[b].nodes;
-    na.insert(na.end(), nb.begin(), nb.end());
+    na.insert(na.end(), std::make_move_iterator(nb.begin()),
+              std::make_move_iterator(nb.end()));
     nb.clear();
+    touch(a);
+    touch(b);
     dirty_ = true;
     return true;
 }
@@ -187,17 +191,26 @@ EGraph::rebuild()
         dirty_ = false;
         hashcons_.clear();
         for (EClassId id = 0; id < classes_.size(); ++id) {
-            if (find(id) != id)
+            if (parent_[id] != id)
                 continue;
             auto &nodes = classes_[id].nodes;
             std::vector<ENode> canon;
             canon.reserve(nodes.size());
-            for (const ENode &n : nodes) {
-                ENode c = canonicalize(n);
-                if (std::find(canon.begin(), canon.end(), c) == canon.end())
-                    canon.push_back(std::move(c));
+            bool changed = false;
+            for (ENode &n : nodes) {
+                for (EClassId &ch : n.children) {
+                    EClassId root = find(ch);
+                    changed |= root != ch;
+                    ch = root;
+                }
+                if (std::find(canon.begin(), canon.end(), n) == canon.end())
+                    canon.push_back(std::move(n));
+                else
+                    changed = true;
             }
             nodes = std::move(canon);
+            if (changed)
+                touch(id);
             for (const ENode &n : nodes) {
                 auto [it, inserted] = hashcons_.emplace(n, id);
                 if (!inserted && find(it->second) != id) {
@@ -214,7 +227,7 @@ EGraph::numClasses() const
 {
     std::size_t n = 0;
     for (EClassId id = 0; id < classes_.size(); ++id)
-        if (find(id) == id)
+        if (parent_[id] == id)
             ++n;
     return n;
 }
@@ -224,7 +237,7 @@ EGraph::numNodes() const
 {
     std::size_t n = 0;
     for (EClassId id = 0; id < classes_.size(); ++id)
-        if (find(id) == id)
+        if (parent_[id] == id)
             n += classes_[id].nodes.size();
     return n;
 }
@@ -240,7 +253,7 @@ EGraph::canonicalClasses() const
 {
     std::vector<EClassId> out;
     for (EClassId id = 0; id < classes_.size(); ++id)
-        if (find(id) == id && !classes_[id].nodes.empty())
+        if (parent_[id] == id && !classes_[id].nodes.empty())
             out.push_back(id);
     return out;
 }

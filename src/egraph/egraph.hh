@@ -4,7 +4,9 @@
  * and the appendix). A from-scratch reimplementation of the equality-
  * saturation substrate the paper builds with the egg library: union-find
  * over equivalence classes, hash-consed e-nodes, batched rewriting, and
- * cost-based extraction.
+ * cost-based extraction. Rules match semi-naively: per-class version
+ * stamps and recorded read sets let a rule skip every match whose inputs
+ * have not changed since it last ran (DESIGN.md §2).
  *
  * Two tDFG nodes are equivalent iff they represent the same result AND
  * share the same lattice domain, so every e-class carries its domain and
@@ -68,6 +70,12 @@ struct EClass {
 class EGraph
 {
   public:
+    /** A class a tracked reader resolved, at the version it saw. */
+    struct ClassRead {
+        EClassId id;
+        std::uint64_t version;
+    };
+
     explicit EGraph(unsigned dims) : dims_(dims) {}
 
     unsigned dims() const { return dims_; }
@@ -80,6 +88,30 @@ class EGraph
 
     /** True when @p id names an allocated class (canonical or not). */
     bool validId(EClassId id) const { return id < parent_.size(); }
+
+    /** One past the largest allocated class id. */
+    std::size_t idBound() const { return parent_.size(); }
+
+    /**
+     * Version stamp of class @p id (not canonicalized). It changes when
+     * the class is created, absorbs a class or is absorbed, or has its
+     * e-nodes re-canonicalized or de-duplicated by rebuild(); never
+     * otherwise (a class's domain is fixed).
+     */
+    std::uint64_t version(EClassId id) const { return version_[id]; }
+
+    /**
+     * Until called again with nullptr, append to @p out every class
+     * find() resolves to and every class add() creates, at its current
+     * version: the read set of one rule match. Every class access of a
+     * rule goes through find(), so nothing a match depends on escapes.
+     */
+    void trackReads(std::vector<ClassRead> *out) { reads_ = out; }
+
+    /** add() calls that created an e-node. */
+    std::size_t nodesAdded() const { return nodesAdded_; }
+    /** add() calls the hashcons answered with an existing class. */
+    std::size_t hashconsHits() const { return hashconsHits_; }
 
     /**
      * Union two classes. Rejected (returns false) when their domains
@@ -115,13 +147,18 @@ class EGraph
     std::string dump() const;
 
   private:
-    ENode canonicalize(const ENode &n) const;
+    void touch(EClassId id) { version_[id] = ++clock_; }
 
     unsigned dims_;
     mutable std::vector<EClassId> parent_;  // Union-find.
     std::vector<EClass> classes_;
+    std::vector<std::uint64_t> version_;    // Per class id; see version().
+    std::uint64_t clock_ = 0;
     std::unordered_map<ENode, EClassId, ENodeHash> hashcons_;
     bool dirty_ = false;
+    std::vector<ClassRead> *reads_ = nullptr;
+    std::size_t nodesAdded_ = 0;
+    std::size_t hashconsHits_ = 0;
 };
 
 /**
@@ -180,23 +217,29 @@ class TdfgOptimizer
     ExtractionResult optimize(const TdfgGraph &g,
                               const ExtractionCost &cost = ExtractionCost{});
 
-    /** Number of rewrite matches applied in the last run. */
+    /** E-graph size after one saturation iteration. */
+    struct EGraphSize {
+        std::size_t classes = 0;
+        std::size_t nodes = 0;
+        bool operator==(const EGraphSize &) const = default;
+    };
+
+    /** Rewrite matches of the last run that united two classes. */
     unsigned rewritesApplied() const { return rewrites_; }
     /** Number of saturation iterations performed in the last run. */
     unsigned iterationsRun() const { return iterations_; }
+    /** E-nodes the last run created (ingest included). */
+    std::size_t nodesAdded() const { return nodesAdded_; }
+    /** add() calls of the last run that found an existing e-node. */
+    std::size_t hashconsHits() const { return hashconsHits_; }
+    /** Canonical classes and e-nodes after each iteration of the last
+     * run. */
+    const std::vector<EGraphSize> &sizeAfterIteration() const
+    {
+        return sizes_;
+    }
 
   private:
-    unsigned applyRules(EGraph &eg);
-    unsigned ruleCommutative(EGraph &eg);
-    unsigned ruleComputeMoveExchange(EGraph &eg);
-    unsigned ruleComputeBroadcastExchange(EGraph &eg);
-    unsigned ruleTensorExpansion(EGraph &eg);
-    unsigned ruleShrinkThroughCompute(EGraph &eg);
-    unsigned ruleShrinkThroughMove(EGraph &eg);
-    unsigned ruleShrinkCombine(EGraph &eg);
-    unsigned ruleMoveFusion(EGraph &eg);
-    unsigned ruleDistributive(EGraph &eg);
-
     Expected<ExtractionResult> extract(const EGraph &eg,
                                        const std::vector<EClassId> &roots,
                                        const ExtractionCost &cost,
@@ -205,6 +248,9 @@ class TdfgOptimizer
     Options opts_{};
     unsigned rewrites_ = 0;
     unsigned iterations_ = 0;
+    std::size_t nodesAdded_ = 0;
+    std::size_t hashconsHits_ = 0;
+    std::vector<EGraphSize> sizes_;
 };
 
 } // namespace infs

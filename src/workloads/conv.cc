@@ -27,6 +27,31 @@ conv2dWeight(Coord di, Coord dj)
 
 } // namespace
 
+TdfgGraph
+conv2dTdfg(Coord n0, Coord n1)
+{
+    TdfgGraph g(2, "conv2d");
+    HyperRect inner = HyperRect::box2(1, n0 - 1, 1, n1 - 1);
+    // Accumulate term by term: registers free at each fold (§6).
+    NodeId acc = invalidNode;
+    for (Coord dj = -1; dj <= 1; ++dj) {
+        for (Coord di = -1; di <= 1; ++di) {
+            NodeId t = g.tensor(0, inner.shifted(0, di).shifted(1, dj));
+            NodeId aligned = t;
+            if (di != 0)
+                aligned = g.move(aligned, 0, -di);
+            if (dj != 0)
+                aligned = g.move(aligned, 1, -dj);
+            NodeId term = g.compute(
+                BitOp::Mul, {aligned, g.constant(conv2dWeight(di, dj))});
+            acc = acc == invalidNode ? term
+                                     : g.compute(BitOp::Add, {acc, term});
+        }
+    }
+    g.output(acc, 1);
+    return g;
+}
+
 Workload
 makeConv2d(Coord n0, Coord n1)
 {
@@ -45,32 +70,12 @@ makeConv2d(Coord n0, Coord n1)
 
     Phase p;
     p.name = "conv";
-    p.buildTdfg = [n0, n1](std::uint64_t) {
-        TdfgGraph g(2, "conv2d");
-        HyperRect inner = HyperRect::box2(1, n0 - 1, 1, n1 - 1);
-        // Accumulate term by term: registers free at each fold (§6).
-        NodeId acc = invalidNode;
-        for (Coord dj = -1; dj <= 1; ++dj) {
-            for (Coord di = -1; di <= 1; ++di) {
-                NodeId t = g.tensor(
-                    0, inner.shifted(0, di).shifted(1, dj));
-                NodeId aligned = t;
-                if (di != 0)
-                    aligned = g.move(aligned, 0, -di);
-                if (dj != 0)
-                    aligned = g.move(aligned, 1, -dj);
-                NodeId term = g.compute(
-                    BitOp::Mul,
-                    {aligned, g.constant(conv2dWeight(di, dj))});
-                acc = acc == invalidNode
-                          ? term
-                          : g.compute(BitOp::Add, {acc, term});
-            }
-        }
-        g.output(acc, 1);
-        // Static compile (§3.2/Fig 6): the e-graph optimizer shares the
-        // symmetric-weight multiplies across taps. Optimization is an
-        // attempt: a rejected extraction keeps the unoptimized graph.
+    // Static compile (§3.2/Fig 6), once per Workload: the e-graph
+    // optimizer shares the symmetric-weight multiplies across taps.
+    // Optimization is an attempt: a rejected extraction keeps the
+    // unoptimized graph.
+    p.buildTdfg = wl::StaticTdfg([n0, n1] {
+        TdfgGraph g = conv2dTdfg(n0, n1);
         TdfgOptimizer opt;
         Expected<ExtractionResult> res = opt.tryOptimize(g);
         if (!res) {
@@ -79,7 +84,7 @@ makeConv2d(Coord n0, Coord n1)
             return g;
         }
         return std::move(res->graph);
-    };
+    });
     NearStream ld, st;
     ld.pattern = AccessPattern::linear(0, 0, elems);
     ld.forwardTo = 1;

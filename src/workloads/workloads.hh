@@ -47,8 +47,14 @@ Workload makeDwt2d(Coord n0, Coord n1);
  * The shrinking per-k tensors defeat JIT memoization (§8). */
 Workload makeGaussElim(Coord n);
 
-/** 3x3 2-D convolution with constant weights (Fig 6). A=0, B=1. */
+/**
+ * 3x3 2-D convolution with constant weights (Fig 6). A=0, B=1. Its phase
+ * graph is conv2dTdfg() after one e-graph optimization per Workload.
+ */
 Workload makeConv2d(Coord n0, Coord n1);
+
+/** conv2d's tDFG as written, before the static e-graph compile. */
+TdfgGraph conv2dTdfg(Coord n0, Coord n1);
 
 /**
  * Multi-channel 3x3 convolution (conv3d): input {w, h, ci}, weights

@@ -18,10 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "common/random_tdfg.hh"
 #include "core/backend.hh"
 #include "jit/jit.hh"
 #include "mem/address_map.hh"
-#include "sim/rng.hh"
 #include "workloads/registry.hh"
 
 namespace infs {
@@ -118,10 +118,8 @@ TEST(BackendDiff, FastScenarioSubset)
 #endif // INFS_DIFF_FULL
 
 /**
- * Randomized tDFGs: layered graphs over a 1-D lattice mixing computes,
- * immediates, moves, broadcasts, and a final optional reduce — lowered
- * with the real JIT and diffed across backends. Seeds are fixed, so
- * failures replay exactly.
+ * Randomized tDFGs (tests/common/random_tdfg.hh), lowered with the real
+ * JIT and diffed across backends.
  */
 void
 diffRandomGraphs(std::uint64_t seed_base, unsigned count)
@@ -130,50 +128,11 @@ diffRandomGraphs(std::uint64_t seed_base, unsigned count)
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     JitCompiler jit(cfg);
     const Coord n = 1024;
-    const std::vector<BitOp> ops = {BitOp::Add, BitOp::Sub, BitOp::Mul,
-                                    BitOp::Max, BitOp::Min};
     unsigned lowered = 0;
     for (unsigned g_i = 0; g_i < count; ++g_i) {
-        Rng rng(seed_base + g_i);
-        TdfgGraph g(1, "rand" + std::to_string(g_i));
-        std::vector<NodeId> pool;
-        const unsigned n_inputs = 2 + rng.nextBounded(2);
-        for (unsigned a = 0; a < n_inputs; ++a)
-            pool.push_back(g.tensor(static_cast<ArrayId>(a),
-                                    HyperRect::interval(0, n)));
-        const unsigned n_ops = 3 + rng.nextBounded(5);
-        for (unsigned k = 0; k < n_ops; ++k) {
-            NodeId a = pool[rng.nextBounded(pool.size())];
-            switch (rng.nextBounded(4)) {
-            case 0: { // Binary compute of two live nodes.
-                NodeId b = pool[rng.nextBounded(pool.size())];
-                pool.push_back(g.compute(ops[rng.nextBounded(ops.size())],
-                                         {a, b}));
-                break;
-            }
-            case 1: // Compute against an immediate constant.
-                pool.push_back(
-                    g.compute(ops[rng.nextBounded(ops.size())],
-                              {a, g.constant(0.25 * (1 + rng.nextBounded(
-                                                          16)))}));
-                break;
-            case 2: { // Shift by a mixed intra/inter-tile distance.
-                Coord dist = static_cast<Coord>(rng.nextBounded(40)) - 20;
-                pool.push_back(g.move(a, 0, dist == 0 ? 1 : dist));
-                break;
-            }
-            default: { // Short-range broadcast along dim 0.
-                Coord cnt = 2 + static_cast<Coord>(rng.nextBounded(3));
-                pool.push_back(g.broadcast(a, 0, 0, cnt));
-                break;
-            }
-            }
-        }
-        NodeId out = pool.back();
-        if (rng.nextBounded(3) == 0)
-            out = g.reduce(pool.back(), BitOp::Add, 0);
-        g.output(out, static_cast<ArrayId>(n_inputs));
-
+        const TdfgGraph g =
+            randomTdfg(seed_base + g_i, "rand" + std::to_string(g_i), n)
+                .graph;
         TiledLayout lay({n}, {256});
         auto prog_or = jit.tryLower(g, lay, map);
         if (!prog_or)

@@ -140,6 +140,58 @@ TEST(Optimizer, PreservesStreamNodes)
     EXPECT_EQ(countKind(res.graph, TdfgKind::Reduce), 1u);
 }
 
+TEST(Optimizer, ReportsNodesAddedAndHashconsHits)
+{
+    TdfgGraph g = fig20Graph(64, 0, 1);
+    TdfgOptimizer opt;
+    opt.optimize(g);
+    // Ingest alone adds one e-node per original node.
+    EXPECT_GE(opt.nodesAdded(), g.size());
+    EXPECT_GT(opt.hashconsHits(), 0u);
+    EXPECT_EQ(opt.sizeAfterIteration().size(), opt.iterationsRun());
+    // Rebuilding only ever drops duplicate e-nodes.
+    EXPECT_LE(opt.sizeAfterIteration().back().nodes, opt.nodesAdded());
+}
+
+TEST(Optimizer, StopsAfterAnIterationWithoutUnions)
+{
+    // relu(A): no rule unites anything, so the first iteration is the
+    // last.
+    TdfgGraph g(1, "relu");
+    NodeId a = g.tensor(0, HyperRect::interval(0, 32));
+    g.output(g.compute(BitOp::Relu, {a}), 1);
+    TdfgOptimizer opt;
+    opt.optimize(g);
+    EXPECT_EQ(opt.iterationsRun(), 1u);
+    EXPECT_EQ(opt.rewritesApplied(), 0u);
+}
+
+TEST(Optimizer, SelfIdentityKeepsSaturating)
+{
+    // An identity shrink and a cancelling move pair each unite with the
+    // tensor below them once. Afterwards the elimination rules keep matching them
+    // against their own class without uniting anything: rewritesApplied()
+    // counts only the one real union of each graph, and the loop still runs its whole
+    // budget, as it always has for graphs holding such a node.
+    const Coord n = 32;
+    TdfgGraph shrink(1, "identity_shrink");
+    NodeId a = shrink.tensor(0, HyperRect::interval(0, n));
+    shrink.output(shrink.shrink(a, 0, 0, n), 1);
+    TdfgGraph moves(1, "cancelling_moves");
+    NodeId b = moves.tensor(0, HyperRect::interval(0, n));
+    moves.output(moves.move(moves.move(b, 0, 3), 0, -3), 1);
+    for (const TdfgGraph *g : {&shrink, &moves}) {
+        SCOPED_TRACE(g->name());
+        TdfgOptimizer opt;
+        // Saturation only. Extracting the identity shrink currently
+        // fails: relaxCosts' near-tie rule selects the shrink over its own
+        // class, a self-loop the tree selection rejects.
+        (void)opt.tryOptimize(*g);
+        EXPECT_EQ(opt.rewritesApplied(), 1u);
+        EXPECT_EQ(opt.iterationsRun(), TdfgOptimizer::Options{}.maxIterations);
+    }
+}
+
 TEST(Optimizer, RespectsNodeBudget)
 {
     TdfgGraph g = fig20Graph(64, 0, 1);
