@@ -2,18 +2,25 @@
  * @file
  * Host-side performance microbenchmarks (google-benchmark): the cost of
  * the simulator's own hot paths — bit-serial ops over a 256x256 array,
- * the TTU transpose, Alg. 1 decomposition, Alg. 2 lowering, JIT lowering
- * of a full stencil, and e-graph optimization (a 1-D stencil and
- * conv2d at 128x128).
+ * the TTU transpose, the 32x32 bit-transpose kernel of each SIMD table,
+ * Alg. 1 decomposition, Alg. 2 lowering, JIT lowering of a full stencil,
+ * e-graph optimization (a 1-D stencil and conv2d at 128x128), and one
+ * stencil3d program on the bit-accurate fabric at 1 and 4 host threads.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bitserial/compute_sram.hh"
+#include "bitserial/simd.hh"
 #include "bitserial/transpose.hh"
+#include "core/backend.hh"
 #include "egraph/egraph.hh"
 #include "jit/jit.hh"
 #include "sim/rng.hh"
+#include "sim/thread_pool.hh"
+#include "workloads/registry.hh"
 #include "workloads/workloads.hh"
 
 namespace infs {
@@ -69,6 +76,34 @@ BM_TransposeRoundTrip(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_TransposeRoundTrip);
+
+void
+BM_Transpose32(benchmark::State &state)
+{
+    // One 32x32 block through the kernel of the table named by the arg
+    // (a SimdIsa value); skipped where the host lacks the ISA.
+    const auto isa = static_cast<SimdIsa>(state.range(0));
+    if (!simd::available(isa)) {
+        state.SkipWithError("ISA not available on this host");
+        return;
+    }
+    const simd::SimdKernels &k = simd::kernelsFor(isa);
+    state.SetLabel(simdIsaName(isa));
+    std::uint32_t in[32], out[32];
+    Rng rng(3);
+    for (auto &w : in)
+        w = static_cast<std::uint32_t>(rng.next());
+    for (auto _ : state) {
+        k.transpose32(in, out);
+        benchmark::DoNotOptimize(out);
+        in[0] ^= out[31]; // Chain the calls.
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Transpose32)
+    ->Arg(static_cast<int>(SimdIsa::Portable))
+    ->Arg(static_cast<int>(SimdIsa::Avx2))
+    ->Arg(static_cast<int>(SimdIsa::Neon));
 
 void
 BM_DecomposeTensor(benchmark::State &state)
@@ -149,6 +184,41 @@ BM_EGraphOptimizeConv2d(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EGraphOptimizeConv2d)->Unit(benchmark::kMillisecond);
+
+void
+BM_FabricExecuteStencil3d(benchmark::State &state)
+{
+    // The full-size stencil3d job of the benchmark registry: execute
+    // only, on a freshly staged fabric per iteration, with the arg as
+    // the host thread count.
+    const SystemConfig cfg = testSystemConfig();
+    simd::setActive(cfg.simd);
+    const Workload w = findScenario("stencil3d")->full();
+    ThreadPool pool(static_cast<unsigned>(state.range(0)));
+    const auto job = planPrimaryJob(w, cfg, &pool, 1 << 18);
+    if (!job) {
+        state.SkipWithError("stencil3d planned no job");
+        return;
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto fab = std::make_unique<BitAccurateFabric>(
+            job->layout, cfg.l3.wordlines, cfg.l3.bitlines);
+        fab->setThreadPool(&pool);
+        seedJobInputs(*fab, *job);
+        state.ResumeTiming();
+        fab->execute(*job->prog);
+        state.PauseTiming();
+        benchmark::DoNotOptimize(checksumJobOutputs(*fab, *job));
+        fab.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_FabricExecuteStencil3d)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // namespace
 } // namespace infs

@@ -341,7 +341,6 @@ ComputeSram::execBinary(BitOp op, DType t, unsigned wl_a, unsigned wl_b,
         return lat_.opCycles(op, t);
       }
       case BitOp::Div: {
-        infs_assert(t == DType::Fp32 || true, "int div modeled functionally");
         forEachSetBit(mask, [&](unsigned bl) {
             auto a = static_cast<std::int64_t>(readElement(bl, wl_a, t));
             auto b = static_cast<std::int64_t>(readElement(bl, wl_b, t));

@@ -372,37 +372,78 @@ avx2RowXor(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
         portRowXor(dst + i, src + i, n - i);
 }
 
+/** Lane l ^ J of @p y in every lane l (J = 4, 2, 1). */
+template <int J>
+INFS_AVX2 inline __m256i
+avx2Partner(__m256i y)
+{
+    if constexpr (J == 4)
+        return _mm256_permute2x128_si256(y, y, 0x01);
+    else if constexpr (J == 2)
+        return _mm256_shuffle_epi32(y, _MM_SHUFFLE(1, 0, 3, 2));
+    else
+        return _mm256_shuffle_epi32(y, _MM_SHUFFLE(2, 3, 0, 1));
+}
+
 /**
- * movemask-based 32x32 bit transpose: MOVMSKPS extracts the MSB of each
- * of 8 rows at once, so 4 vectors x 32 left-shifts sweep out the whole
- * column space — out[b] bit r = in[r] bit b.
+ * One block-swap stage of the 32x32 transpose inside each register: lane
+ * l pairs with lane l ^ J (J = 4, 2, 1). t = ((x[l] >> J) ^ x[l ^ J]) & m
+ * is formed in the lower lane of each pair; the lower lane takes
+ * x ^= t << J and the upper x ^= t (portTranspose32's update), with
+ * blend_epi32 picking per lane.
+ */
+template <int J>
+INFS_AVX2 inline __m256i
+avx2SwapLanes(__m256i x, std::uint32_t m)
+{
+    // Upper lanes of each pair: lanes 4-7, 2-3 and 6-7, or odd lanes.
+    constexpr int kUpper = J == 4 ? 0xF0 : J == 2 ? 0xCC : 0xAA;
+    const __m256i t = _mm256_and_si256(
+        _mm256_xor_si256(_mm256_srli_epi32(x, J), avx2Partner<J>(x)),
+        _mm256_set1_epi32(static_cast<int>(m)));
+    return _mm256_xor_si256(
+        x, _mm256_blend_epi32(_mm256_slli_epi32(t, J), avx2Partner<J>(t),
+                              kUpper));
+}
+
+/** Block swap of whole registers: rows k and k + J (J = 16, 8). */
+template <int J>
+INFS_AVX2 inline void
+avx2SwapRegs(__m256i &lo, __m256i &hi, std::uint32_t m)
+{
+    const __m256i t = _mm256_and_si256(
+        _mm256_xor_si256(_mm256_srli_epi32(lo, J), hi),
+        _mm256_set1_epi32(static_cast<int>(m)));
+    lo = _mm256_xor_si256(lo, _mm256_slli_epi32(t, J));
+    hi = _mm256_xor_si256(hi, t);
+}
+
+/**
+ * 32x32 bit transpose by the five block-swap stages of portTranspose32,
+ * rows held eight to a register: the 16 and 8 stages pair whole
+ * registers, the 4, 2 and 1 stages pair lanes inside each register
+ * (permute2x128 / shuffle_epi32 bring the partner lane, blend_epi32
+ * picks each lane's update). out[b] bit r = in[r] bit b.
  */
 INFS_AVX2 void
 avx2Transpose32(const std::uint32_t *in, std::uint32_t *out)
 {
-    __m256i v0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(in + 0));
-    __m256i v1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(in + 8));
-    __m256i v2 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(in + 16));
-    __m256i v3 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(in + 24));
-    for (int b = 31; b >= 0; --b) {
-        const std::uint32_t m0 = static_cast<std::uint32_t>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(v0)));
-        const std::uint32_t m1 = static_cast<std::uint32_t>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(v1)));
-        const std::uint32_t m2 = static_cast<std::uint32_t>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(v2)));
-        const std::uint32_t m3 = static_cast<std::uint32_t>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(v3)));
-        out[b] = m0 | (m1 << 8) | (m2 << 16) | (m3 << 24);
-        v0 = _mm256_slli_epi32(v0, 1);
-        v1 = _mm256_slli_epi32(v1, 1);
-        v2 = _mm256_slli_epi32(v2, 1);
-        v3 = _mm256_slli_epi32(v3, 1);
+    __m256i v[4];
+    for (int i = 0; i < 4; ++i)
+        v[i] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(in + 8 * i));
+    avx2SwapRegs<16>(v[0], v[2], 0x0000FFFFu);
+    avx2SwapRegs<16>(v[1], v[3], 0x0000FFFFu);
+    avx2SwapRegs<8>(v[0], v[1], 0x00FF00FFu);
+    avx2SwapRegs<8>(v[2], v[3], 0x00FF00FFu);
+    for (__m256i &x : v) {
+        x = avx2SwapLanes<4>(x, 0x0F0F0F0Fu);
+        x = avx2SwapLanes<2>(x, 0x33333333u);
+        x = avx2SwapLanes<1>(x, 0x55555555u);
     }
+    for (int i = 0; i < 4; ++i)
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 8 * i),
+                            v[i]);
 }
 
 /** VMAXPS/VMINPS return the second operand on NaN and on equal-magnitude

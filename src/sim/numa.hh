@@ -2,10 +2,11 @@
  * @file
  * Host NUMA topology discovery for bank-shard placement (DESIGN.md §14).
  * The simulator shards fabric bank state across worker threads; on a
- * multi-node host it pins lane partitions to the node whose memory holds
- * their bank shards (first-touch allocation from the pinned worker). On a
- * single-node host everything here degenerates to "1 node, no pinning" and
- * the thread pool behaves exactly as before.
+ * multi-node host it pins the workers across the nodes, so each bank
+ * shard lands in the memory of a node that simulates it (first-touch
+ * allocation from the pinned worker). On a single-node host everything
+ * here degenerates to "1 node, no pinning" and the thread pool behaves
+ * exactly as before.
  */
 
 #ifndef INFS_SIM_NUMA_HH

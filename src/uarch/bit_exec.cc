@@ -126,6 +126,8 @@ BitAccurateFabric::BitAccurateFabric(TiledLayout layout, unsigned wordlines,
     infs_assert(layout_.tileVolume() <= static_cast<std::int64_t>(bitlines),
                 "tile volume %lld exceeds %u bitlines",
                 static_cast<long long>(layout_.tileVolume()), bitlines);
+    infs_assert(layout_.dims() <= kMaxDims, "%u dims exceed the fabric's %u",
+                layout_.dims(), kMaxDims);
     tiles_.resize(static_cast<std::size_t>(layout_.numTiles()));
 }
 
@@ -204,36 +206,6 @@ BitAccurateFabric::reserveTiles() const
         if (!p)
             p = std::make_unique<ComputeSram>(wordlines_, bitlines_,
                                               BitMatrix::Deferred{});
-}
-
-void
-BitAccurateFabric::ensureTiles(const std::vector<std::int64_t> &tiles)
-{
-    // Allocate through the pool when one is attached: with NUMA pinning
-    // active, the worker that first touches a tile's SRAM pages is the
-    // same worker forEachTile's deterministic chunking later hands that
-    // tile to, so bank shards stay node-local (DESIGN.md §14). Callers
-    // pass unique tile ids, and tiles_ is pre-sized, so concurrent slot
-    // writes are disjoint.
-    parallelOver(static_cast<std::int64_t>(tiles.size()),
-                 [&](std::int64_t i) {
-                     tile(tiles[static_cast<std::size_t>(i)]);
-                 });
-}
-
-void
-BitAccurateFabric::forEachTile(const std::vector<std::int64_t> &tiles,
-                               const std::function<void(std::int64_t)> &fn)
-{
-    // Occupancy accounting: one work unit per tile visit, folded into
-    // bank groups by tile index. Pure function of the command stream.
-    for (std::int64_t t : tiles)
-        bankOps_[static_cast<std::size_t>(t) % FabricStats::kBankSlots]
-            .fetch_add(1, std::memory_order_relaxed);
-    parallelOver(static_cast<std::int64_t>(tiles.size()),
-                 [&](std::int64_t i) {
-                     fn(tiles[static_cast<std::size_t>(i)]);
-                 });
 }
 
 std::int64_t
@@ -332,84 +304,70 @@ BitAccurateFabric::element(const std::vector<Coord> &pt, unsigned wl) const
 std::size_t
 BitAccurateFabric::MaskKeyHash::operator()(const MaskKey &k) const
 {
-    // FNV-1a over the key fields.
+    // FNV-1a over the box bounds.
     std::uint64_t h = 1469598103934665603ULL;
     auto mix = [&h](std::uint64_t v) {
         h ^= v;
         h *= 1099511628211ULL;
     };
-    mix(static_cast<std::uint64_t>(k.tile));
-    mix(k.positional ? 1u : 0u);
-    mix(k.dim);
-    mix(static_cast<std::uint64_t>(k.maskLo));
-    mix(static_cast<std::uint64_t>(k.maskHi));
-    for (Coord c : k.lo)
-        mix(static_cast<std::uint64_t>(c));
-    for (Coord c : k.hi)
-        mix(static_cast<std::uint64_t>(c));
+    for (unsigned d = 0; d < kMaxDims; ++d) {
+        mix(static_cast<std::uint64_t>(k.lo[d]));
+        mix(static_cast<std::uint64_t>(k.hi[d]));
+    }
     return static_cast<std::size_t>(h);
 }
 
+BitAccurateFabric::MaskKey
+BitAccurateFabric::localBox(const HyperRect &r, std::int64_t t, int wdim,
+                            Coord wlo, Coord whi) const
+{
+    const auto &shape = layout_.shape();
+    const auto &tsz = layout_.tile();
+    const auto &grid = layout_.grid();
+    const unsigned nd = layout_.dims();
+    MaskKey k;
+    std::int64_t rest = t;
+    for (unsigned d = 0; d < nd; ++d) {
+        const Coord origin = (rest % grid[d]) * tsz[d];
+        rest /= grid[d];
+        Coord lo = std::max(r.lo(d), origin) - origin;
+        Coord hi = std::min({r.hi(d), shape[d], origin + tsz[d]}) - origin;
+        if (static_cast<int>(d) == wdim) {
+            lo = std::max(lo, wlo);
+            hi = std::min(hi, whi);
+        }
+        if (hi <= lo)
+            return MaskKey{};
+        k.lo[d] = lo;
+        k.hi[d] = hi;
+    }
+    return k;
+}
+
 BitRow
-BitAccurateFabric::buildTileMask(const InMemCommand &cmd, std::int64_t t,
-                                 bool apply_shift_mask) const
+BitAccurateFabric::buildBoxMask(const MaskKey &key) const
 {
     BitRow mask(bitlines_);
-    // Clip to this tile's own rect so the walk is O(tile volume), not
-    // O(tensor volume) — every cell visited belongs to tile t.
-    HyperRect clipped =
-        cmd.tensor.intersect(arrayRect_).intersect(layout_.tileRect(t));
-    if (clipped.empty())
+    if (key.hi[0] <= key.lo[0])
         return mask;
-    const auto &tile = layout_.tile();
-    const unsigned nd = clipped.dims();
-    const Coord tile0 = tile[0];
-
-    // Dim 0 is innermost: consecutive dim-0 coordinates are consecutive
-    // bitlines, so per outer coordinate the selected cells form one
-    // contiguous run set with a single word-level setRange. The clip lies
-    // inside one tile, so pos0 = c - origin = c % tile0 and the Alg. 2
-    // positional window [maskLo, maskHi) intersects the run directly.
-    Coord lo0 = clipped.lo(0), hi0 = clipped.hi(0);
-    if (apply_shift_mask && cmd.dim == 0) {
-        const Coord origin = lo0 - lo0 % tile0;
-        lo0 = std::max(lo0, origin + cmd.maskLo);
-        hi0 = std::min(hi0, origin + cmd.maskHi);
-        if (hi0 <= lo0)
-            return mask;
-    }
-    const unsigned run_lo = static_cast<unsigned>(lo0 % tile0);
-    const unsigned len = static_cast<unsigned>(hi0 - lo0);
-
-    std::vector<std::int64_t> mult(nd);
-    std::int64_t m = 1;
-    for (unsigned d = 0; d < nd; ++d) {
-        mult[d] = m;
-        m *= tile[d];
-    }
-
-    // Odometer over the outer dims of the clip (dim 0 collapsed).
-    std::vector<Coord> pt(nd, 0);
-    for (unsigned d = 1; d < nd; ++d)
-        pt[d] = clipped.lo(d);
+    // Dim 0 is innermost: consecutive dim-0 positions are consecutive
+    // bitlines, so per outer position the box is one setRange.
+    const auto &tsz = layout_.tile();
+    const unsigned nd = layout_.dims();
+    std::array<Coord, kMaxDims> pt = key.lo;
     for (;;) {
-        bool selected = true;
-        if (apply_shift_mask && cmd.dim != 0) {
-            const Coord pos = pt[cmd.dim] % tile[cmd.dim];
-            selected = pos >= cmd.maskLo && pos < cmd.maskHi;
+        std::int64_t base = 0, mult = 1;
+        for (unsigned d = 0; d < nd; ++d) {
+            base += pt[d] * mult;
+            mult *= tsz[d];
         }
-        if (selected) {
-            std::int64_t base = run_lo;
-            for (unsigned d = 1; d < nd; ++d)
-                base += (pt[d] % tile[d]) * mult[d];
-            mask.setRange(static_cast<unsigned>(base),
-                          static_cast<unsigned>(base) + len);
-        }
+        mask.setRange(static_cast<unsigned>(base),
+                      static_cast<unsigned>(base + key.hi[0] - key.lo[0]));
         unsigned d = 1;
         for (; d < nd; ++d) {
-            if (++pt[d] < clipped.hi(d))
+            if (++pt[d] < key.hi[d])
                 break;
-            pt[d] = clipped.lo(d);
+            pt[d] = key.lo[d];
         }
         if (d >= nd)
             break;
@@ -421,28 +379,46 @@ BitRow
 BitAccurateFabric::tileMaskUncached(const InMemCommand &cmd, std::int64_t t,
                                     bool apply_shift_mask) const
 {
-    return buildTileMask(cmd, t, apply_shift_mask);
+    BitRow mask(bitlines_);
+    const HyperRect cells =
+        cmd.tensor.intersect(arrayRect_).intersect(layout_.tileRect(t));
+    if (cells.empty())
+        return mask;
+    const unsigned nd = cells.dims();
+    const Coord tile_k = layout_.tile()[cmd.dim];
+    std::vector<Coord> pt(nd);
+    for (unsigned d = 0; d < nd; ++d)
+        pt[d] = cells.lo(d);
+    for (;;) {
+        const Coord pos = pt[cmd.dim] % tile_k;
+        if (!apply_shift_mask || (pos >= cmd.maskLo && pos < cmd.maskHi))
+            mask.set(static_cast<unsigned>(layout_.positionInTile(pt)),
+                     true);
+        unsigned d = 0;
+        for (; d < nd; ++d) {
+            if (++pt[d] < cells.hi(d))
+                break;
+            pt[d] = cells.lo(d);
+        }
+        if (d >= nd)
+            break;
+    }
+    return mask;
 }
 
 const BitRow &
 BitAccurateFabric::tileMask(const InMemCommand &cmd, std::int64_t t,
                             bool apply_shift_mask) const
 {
-    MaskKey key;
-    key.tile = t;
-    key.positional = apply_shift_mask;
-    if (apply_shift_mask) {
-        key.dim = cmd.dim;
-        key.maskLo = cmd.maskLo;
-        key.maskHi = cmd.maskHi;
-    }
-    const unsigned nd = cmd.tensor.dims();
-    key.lo.reserve(nd);
-    key.hi.reserve(nd);
-    for (unsigned d = 0; d < nd; ++d) {
-        key.lo.push_back(cmd.tensor.lo(d));
-        key.hi.push_back(cmd.tensor.hi(d));
-    }
+    return boxMask(localBox(cmd.tensor, t,
+                            apply_shift_mask ? static_cast<int>(cmd.dim)
+                                             : -1,
+                            cmd.maskLo, cmd.maskHi));
+}
+
+const BitRow &
+BitAccurateFabric::boxMask(const MaskKey &key) const
+{
     MaskShard &sh = maskShards_[MaskKeyHash{}(key) % kMaskShards];
     {
         std::lock_guard<std::mutex> g(sh.mu);
@@ -453,155 +429,58 @@ BitAccurateFabric::tileMask(const InMemCommand &cmd, std::int64_t t,
         }
     }
     // Build outside the lock (cheap, and keeps shard contention low); a
-    // racing builder loses the emplace and both return the first entry.
-    maskMisses_.fetch_add(1, std::memory_order_relaxed);
-    BitRow built = buildTileMask(cmd, t, apply_shift_mask);
+    // racing builder loses the emplace, counts a hit and returns the
+    // winner's entry, so every key misses exactly once.
+    BitRow built = buildBoxMask(key);
     std::lock_guard<std::mutex> g(sh.mu);
-    auto [it, inserted] = sh.map.emplace(std::move(key), std::move(built));
+    auto [it, inserted] = sh.map.emplace(key, std::move(built));
+    (inserted ? maskMisses_ : maskHits_)
+        .fetch_add(1, std::memory_order_relaxed);
     return it->second;
 }
 
 void
-BitAccurateFabric::execCompute(const InMemCommand &cmd)
+BitAccurateFabric::applyOnTile(const InMemCommand &cmd, std::int64_t t)
 {
-    const bool positional = cmd.maskHi > cmd.maskLo;
-    std::vector<std::int64_t> tiles =
-        layout_.tilesIntersecting(cmd.tensor);
-    ensureTiles(tiles);
-    forEachTile(tiles, [&](std::int64_t t) {
-        const BitRow &mask = tileMask(cmd, t, positional);
+    ComputeSram &s = tile(t);
+    switch (cmd.kind) {
+      case CmdKind::Compute: {
+        const BitRow &mask = tileMask(cmd, t, cmd.maskHi > cmd.maskLo);
         if (!mask.any())
             return;
-        ComputeSram &s = tile(t);
         if (cmd.useImm) {
             s.execBinaryImm(cmd.op, cmd.dtype, cmd.wlA,
                             std::bit_cast<std::uint32_t>(
                                 static_cast<float>(cmd.imm)),
                             cmd.wlDst, mask);
-        } else if (cmd.wlA == cmd.wlB) {
-            // Unary encoding (e.g. relu, copy) or self-binary (x*x).
-            if (cmd.op == BitOp::Relu || cmd.op == BitOp::Copy)
-                s.execUnary(cmd.op, cmd.dtype, cmd.wlA, cmd.wlDst, mask);
-            else
-                s.execBinary(cmd.op, cmd.dtype, cmd.wlA, cmd.wlB,
-                             cmd.wlDst, mask);
+        } else if (cmd.wlA == cmd.wlB &&
+                   (cmd.op == BitOp::Relu || cmd.op == BitOp::Copy)) {
+            // Unary encoding (relu, copy); x*x stays binary.
+            s.execUnary(cmd.op, cmd.dtype, cmd.wlA, cmd.wlDst, mask);
         } else {
             s.execBinary(cmd.op, cmd.dtype, cmd.wlA, cmd.wlB, cmd.wlDst,
                          mask);
         }
-    });
-}
-
-void
-BitAccurateFabric::execIntraShift(const InMemCommand &cmd)
-{
-    const std::int64_t stride = strideInTile(cmd.dim);
-    const int delta =
-        static_cast<int>(cmd.intraTileDist * stride);
-    std::vector<std::int64_t> tiles =
-        layout_.tilesIntersecting(cmd.tensor);
-    ensureTiles(tiles);
-    forEachTile(tiles, [&](std::int64_t t) {
+        return;
+      }
+      case CmdKind::IntraShift: {
         const BitRow &mask = tileMask(cmd, t, true);
         if (!mask.any())
             return;
-        tile(t).shift(cmd.dtype, cmd.wlA, cmd.wlDst, delta, mask);
-    });
-}
-
-void
-BitAccurateFabric::forEachMoveRun(const HyperRect &part, unsigned dim,
-                                  bool window, Coord maskLo, Coord maskHi,
-                                  Coord dist, const MoveRunFn &fn) const
-{
-    if (part.empty())
+        s.shift(cmd.dtype, cmd.wlA, cmd.wlDst,
+                static_cast<int>(cmd.intraTileDist * strideInTile(cmd.dim)),
+                mask);
         return;
-    const auto &tile = layout_.tile();
-    const unsigned nd = part.dims();
-    const Coord tile0 = tile[0];
-    const Coord shape_d = layout_.shape()[dim];
-
-    // Dim-0 source run in absolute coordinates. @p part lies inside one
-    // tile, so the run is one contiguous bitline span per outer
-    // coordinate; when the move is along dim 0 the positional window and
-    // the destination bound clip the run up front.
-    Coord lo0 = part.lo(0), hi0 = part.hi(0);
-    if (dim == 0) {
-        if (window) {
-            const Coord origin = lo0 - lo0 % tile0;
-            lo0 = std::max(lo0, origin + maskLo);
-            hi0 = std::min(hi0, origin + maskHi);
-        }
-        lo0 = std::max(lo0, -dist);
-        hi0 = std::min(hi0, shape_d - dist);
-        if (hi0 <= lo0)
-            return;
-    }
-
-    std::vector<std::int64_t> mult(nd);
-    std::int64_t m = 1;
-    for (unsigned d = 0; d < nd; ++d) {
-        mult[d] = m;
-        m *= tile[d];
-    }
-
-    std::vector<Coord> pt(nd, 0);
-    for (unsigned d = 1; d < nd; ++d)
-        pt[d] = part.lo(d);
-    std::vector<Coord> dst(nd, 0); // Representative destination cell.
-    for (;;) {
-        bool selected = true;
-        Coord dst_k = 0;
-        if (dim != 0) {
-            // Window and destination bound act on the outer coordinate.
-            const Coord pos = pt[dim] % tile[dim];
-            if (window && (pos < maskLo || pos >= maskHi))
-                selected = false;
-            dst_k = pt[dim] + dist;
-            if (dst_k < 0 || dst_k >= shape_d)
-                selected = false; // Discarded outside the rect (§3.2).
-        }
-        if (selected) {
-            std::int64_t outer = 0;
-            for (unsigned d = 1; d < nd; ++d)
-                outer += (pt[d] % tile[d]) * mult[d];
-            if (dim != 0) {
-                // The whole dim-0 run lands in one destination tile.
-                dst.assign(pt.begin(), pt.end());
-                dst[0] = lo0;
-                dst[dim] = dst_k;
-                const std::int64_t dst_outer =
-                    outer - (pt[dim] % tile[dim]) * mult[dim] +
-                    (dst_k % tile[dim]) * mult[dim];
-                fn(static_cast<unsigned>(outer + lo0 % tile0),
-                   layout_.tileOf(dst),
-                   static_cast<unsigned>(dst_outer + lo0 % tile0),
-                   static_cast<unsigned>(hi0 - lo0), false);
-            } else {
-                // Split where the destination crosses a tile boundary.
-                Coord c = lo0;
-                while (c < hi0) {
-                    const Coord dc = c + dist; // >= 0 by the clip above.
-                    const Coord seg_end =
-                        std::min(hi0, (dc / tile0 + 1) * tile0 - dist);
-                    dst.assign(pt.begin(), pt.end());
-                    dst[0] = dc;
-                    fn(static_cast<unsigned>(outer + c % tile0),
-                       layout_.tileOf(dst),
-                       static_cast<unsigned>(outer + dc % tile0),
-                       static_cast<unsigned>(seg_end - c), false);
-                    c = seg_end;
-                }
-            }
-        }
-        unsigned d = 1;
-        for (; d < nd; ++d) {
-            if (++pt[d] < part.hi(d))
-                break;
-            pt[d] = part.lo(d);
-        }
-        if (d >= nd)
-            break;
+      }
+      case CmdKind::BroadcastVal:
+        s.writeImmediate(cmd.dtype,
+                         std::bit_cast<std::uint32_t>(
+                             static_cast<float>(cmd.imm)),
+                         cmd.wlDst, s.fullMask());
+        return;
+      default:
+        infs_panic("command kind %d is not tile-local",
+                   static_cast<int>(cmd.kind));
     }
 }
 
@@ -828,9 +707,12 @@ BitAccurateFabric::moveRuns(
     for (auto &[dt, v] : buckets)
         dst_tiles.push_back(dt);
     std::sort(dst_tiles.begin(), dst_tiles.end());
-    ensureTiles(dst_tiles);
+    for (std::int64_t dt : dst_tiles)
+        addBankOps(dt, 1);
 
-    forEachTile(dst_tiles, [&](std::int64_t dt) {
+    parallelOver(static_cast<std::int64_t>(dst_tiles.size()),
+                 [&](std::int64_t j) {
+        const std::int64_t dt = dst_tiles[static_cast<std::size_t>(j)];
         BitMatrix &bm = tile(dt).bits();
         for (auto [i, k] : buckets.at(dt)) {
             const MoveSegment &sg = segs[i][k];
@@ -856,21 +738,106 @@ BitAccurateFabric::moveRuns(
 }
 
 void
-BitAccurateFabric::execInterShift(const InMemCommand &cmd)
+BitAccurateFabric::planMove(const InMemCommand &cmd, PlaneMove &mv) const
 {
-    // Elements cross tiles: the packed H-tree / NoC transfer,
-    // functionally, as run-length coalesced segment copies.
-    const Coord tile_k = layout_.tile()[cmd.dim];
+    // Elements cross tiles: the packed H-tree / NoC transfer, as whole
+    // bit planes. A cell at in-tile position p along k moves to
+    // (g_k + q) * tile_k + p + r: part 0 (p < tile_k - r) stays within
+    // tile g_k + q, part 1 wraps into tile g_k + q + 1.
+    const unsigned k = cmd.dim;
+    const Coord tile_k = layout_.tile()[k];
     const Coord dist = cmd.interTileDist * tile_k + cmd.intraTileDist;
-    HyperRect clipped = cmd.tensor.intersect(arrayRect_);
-    std::vector<std::int64_t> src_tiles =
-        layout_.tilesIntersecting(clipped);
-    ensureTiles(src_tiles);
-    moveRuns(src_tiles, clipped, dtypeBits(cmd.dtype), cmd.wlA, cmd.wlDst,
-             [&](const HyperRect &part, const MoveRunFn &emit) {
-                 forEachMoveRun(part, cmd.dim, true, cmd.maskLo,
-                                cmd.maskHi, dist, emit);
-             });
+    const Coord q =
+        dist >= 0 ? dist / tile_k : -((tile_k - 1 - dist) / tile_k);
+    const Coord r = dist - q * tile_k;
+    std::int64_t tile_step = 1;
+    for (unsigned d = 0; d < k; ++d)
+        tile_step *= layout_.grid()[d];
+    const std::int64_t stride = strideInTile(k);
+    mv.cmd = &cmd;
+    mv.parts[0] = {std::max<Coord>(cmd.maskLo, 0),
+                   std::min(cmd.maskHi, tile_k - r),
+                   static_cast<int>(r * stride), q * tile_step};
+    mv.parts[1] = {std::max(cmd.maskLo, tile_k - r),
+                   std::min(cmd.maskHi, tile_k),
+                   static_cast<int>((r - tile_k) * stride),
+                   (q + 1) * tile_step};
+    // Cells whose destination falls outside the array are discarded
+    // (§3.2), so they are clipped off the source up front.
+    mv.src = cmd.tensor.intersect(arrayRect_).intersect(
+        arrayRect_.shifted(k, -dist));
+    mv.srcTiles = layout_.tilesIntersecting(mv.src);
+    mv.slotDst.assign(2 * mv.srcTiles.size(), -1);
+    mv.bits = dtypeBits(cmd.dtype);
+    mv.rowWords = (bitlines_ + 63) / 64;
+    if (mv.planes.size() < mv.slotDst.size() * mv.slotWords())
+        mv.planes.resize(mv.slotDst.size() * mv.slotWords());
+}
+
+void
+BitAccurateFabric::gatherPlanes(PlaneMove &mv, std::size_t i)
+{
+    const InMemCommand &cmd = *mv.cmd;
+    const std::int64_t st = mv.srcTiles[i];
+    const BitMatrix &bm = tile(st).bits();
+    const std::size_t words = mv.rowWords;
+    BitRow masked(bitlines_), moved(bitlines_);
+    for (std::size_t p = 0; p < mv.parts.size(); ++p) {
+        const PlaneMove::Part &pt = mv.parts[p];
+        if (pt.whi <= pt.wlo)
+            continue;
+        const BitRow &m = boxMask(
+            localBox(mv.src, st, static_cast<int>(cmd.dim), pt.wlo, pt.whi));
+        if (!m.any())
+            continue;
+        const std::size_t slot = 2 * i + p;
+        mv.slotDst[slot] = st + pt.step;
+        std::uint64_t *out = mv.planes.data() + slot * mv.slotWords();
+        for (unsigned b = 0; b < mv.bits; ++b) {
+            masked.assignAnd(bm.row(cmd.wlA + b), m);
+            moved.assignShifted(masked, pt.shift);
+            std::copy_n(moved.words().data(), words, out + b * words);
+        }
+        moved.assignShifted(m, pt.shift);
+        std::copy_n(moved.words().data(), words, out + mv.bits * words);
+    }
+}
+
+std::size_t
+BitAccurateFabric::landingSlot(const PlaneMove &mv, std::size_t p,
+                               std::int64_t t)
+{
+    // Part p lands here only from source tile t - step.
+    const std::int64_t st = t - mv.parts[p].step;
+    const auto it =
+        std::lower_bound(mv.srcTiles.begin(), mv.srcTiles.end(), st);
+    if (it == mv.srcTiles.end() || *it != st)
+        return kNoSlot;
+    const std::size_t slot =
+        2 * static_cast<std::size_t>(it - mv.srcTiles.begin()) + p;
+    return mv.slotDst[slot] == t ? slot : kNoSlot;
+}
+
+void
+BitAccurateFabric::mergePlanes(const PlaneMove &mv, std::int64_t t,
+                               const std::array<std::size_t, 2> &slots)
+{
+    // The two parts cover disjoint bitlines, so their order is free.
+    const std::size_t words = mv.rowWords;
+    BitMatrix &bm = tile(t).bits();
+    for (std::size_t slot : slots) {
+        if (slot == kNoSlot)
+            continue;
+        const std::uint64_t *in = mv.planes.data() + slot * mv.slotWords();
+        const std::uint64_t *dmask = in + mv.bits * words;
+        for (unsigned b = 0; b < mv.bits; ++b) {
+            BitRow &row = bm.row(mv.cmd->wlDst + b);
+            for (std::size_t w = 0; w < words; ++w)
+                if (dmask[w] != 0)
+                    row.mergeWordMasked(static_cast<unsigned>(w),
+                                        in[b * words + w], dmask[w]);
+        }
+    }
 }
 
 void
@@ -884,7 +851,6 @@ BitAccurateFabric::execBroadcast(const InMemCommand &cmd)
     HyperRect src = cmd.tensor.intersect(arrayRect_);
     const Coord span = cmd.tensor.size(cmd.dim);
     std::vector<std::int64_t> src_tiles = layout_.tilesIntersecting(src);
-    ensureTiles(src_tiles);
     if (cmd.dim == 0 && span == 1) {
         // Unit-span dim-0 broadcast (the inner-product pattern): all
         // replicas of one element form a contiguous dim-0 run, scattered
@@ -900,23 +866,6 @@ BitAccurateFabric::execBroadcast(const InMemCommand &cmd)
                  forEachBroadcastRun(part, cmd.dim, span, cmd.bcDist,
                                      cmd.bcCount, emit);
              });
-}
-
-void
-BitAccurateFabric::execBroadcastVal(const InMemCommand &cmd)
-{
-    std::vector<std::int64_t> all(
-        static_cast<std::size_t>(layout_.numTiles()));
-    for (std::size_t i = 0; i < all.size(); ++i)
-        all[i] = static_cast<std::int64_t>(i);
-    ensureTiles(all);
-    forEachTile(all, [&](std::int64_t t) {
-        ComputeSram &s = tile(t);
-        s.writeImmediate(cmd.dtype,
-                         std::bit_cast<std::uint32_t>(
-                             static_cast<float>(cmd.imm)),
-                         cmd.wlDst, s.fullMask());
-    });
 }
 
 void
@@ -936,213 +885,136 @@ BitAccurateFabric::applyFault(const InMemCommand &cmd,
 }
 
 void
-BitAccurateFabric::injectAndRepair(const InMemCommand &cmd)
+BitAccurateFabric::runPhase(const InMemProgram &prog, std::size_t lo,
+                            std::size_t hi,
+                            const std::vector<const PlannedFault *> &faults,
+                            const PlaneMove *in, PlaneMove *out)
 {
-    auto touched = layout_.tilesIntersecting(cmd.tensor);
-    if (touched.empty())
-        return;
-    const unsigned bits = dtypeBits(cmd.dtype);
-    // Pick the upset site from the SRAM stream: tile, wordline within the
-    // destination slot, bitline.
-    PlannedFault pf;
-    pf.cmdIndex = 0;
-    pf.tile = touched[fault_->draw(FaultDomain::Sram, touched.size())];
-    pf.wl = cmd.wlDst + static_cast<unsigned>(
-                            fault_->draw(FaultDomain::Sram, bits));
-    pf.bl = static_cast<unsigned>(
-        fault_->draw(FaultDomain::Sram, bitlines_));
-    fault_->recordDetection();
-    applyFault(cmd, pf);
-    fault_->recordRetry();
-}
+    using Clock = std::chrono::steady_clock;
+    const auto &shape = layout_.shape();
+    const auto &tsz = layout_.tile();
+    const auto &grid = layout_.grid();
+    const unsigned nd = layout_.dims();
 
-void
-BitAccurateFabric::executeNoFault(const InMemCommand &cmd)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    switch (cmd.kind) {
-      case CmdKind::Compute:
-        execCompute(cmd);
-        break;
-      case CmdKind::IntraShift:
-        execIntraShift(cmd);
-        break;
-      case CmdKind::InterShift:
-        execInterShift(cmd);
-        break;
-      case CmdKind::BroadcastBl:
-        execBroadcast(cmd);
-        break;
-      case CmdKind::BroadcastVal:
-        execBroadcastVal(cmd);
-        break;
-      case CmdKind::Sync:
-        break; // Ordering only; handled by the segment walk.
-    }
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    const auto k = static_cast<std::size_t>(cmd.kind);
-    kindCount_[k].fetch_add(1, std::memory_order_relaxed);
-    kindNanos_[k].fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                .count()),
-        std::memory_order_relaxed);
-}
-
-void
-BitAccurateFabric::executeCommand(const InMemCommand &cmd)
-{
-    executeNoFault(cmd);
-    if (cmd.kind == CmdKind::Compute && fault_ && fault_->sampleSramFlip())
-        injectAndRepair(cmd);
-}
-
-std::vector<std::int64_t>
-BitAccurateFabric::touchedTiles(const InMemCommand &cmd) const
-{
-    std::vector<std::int64_t> tiles;
-    auto add = [&](const HyperRect &r) {
-        auto v = layout_.tilesIntersecting(r.intersect(arrayRect_));
-        tiles.insert(tiles.end(), v.begin(), v.end());
-    };
-    switch (cmd.kind) {
-      case CmdKind::Compute:
-      case CmdKind::IntraShift:
-        add(cmd.tensor);
-        break;
-      case CmdKind::InterShift: {
-        add(cmd.tensor);
-        const Coord tile_k = layout_.tile()[cmd.dim];
-        const Coord dist = cmd.interTileDist * tile_k + cmd.intraTileDist;
-        add(cmd.tensor.shifted(cmd.dim, dist));
-        break;
-      }
-      case CmdKind::BroadcastBl: {
-        add(cmd.tensor);
-        const Coord span = cmd.tensor.size(cmd.dim);
-        for (Coord j = 0; j < cmd.bcCount; ++j)
-            add(cmd.tensor.shifted(cmd.dim, cmd.bcDist + j * span));
-        break;
-      }
-      case CmdKind::BroadcastVal: {
-        tiles.resize(static_cast<std::size_t>(layout_.numTiles()));
-        for (std::size_t i = 0; i < tiles.size(); ++i)
-            tiles[i] = static_cast<std::int64_t>(i);
-        break;
-      }
-      case CmdKind::Sync:
-        break;
-    }
-    std::sort(tiles.begin(), tiles.end());
-    tiles.erase(std::unique(tiles.begin(), tiles.end()), tiles.end());
-    return tiles;
-}
-
-void
-BitAccurateFabric::executeSegment(
-    const InMemProgram &prog, std::size_t lo, std::size_t hi,
-    const std::vector<const PlannedFault *> &faults)
-{
-    if (hi <= lo)
-        return;
-    auto runOne = [&](std::size_t i) {
-        const InMemCommand &cmd = prog.commands[i];
-        executeNoFault(cmd);
-        if (faults[i] != nullptr)
-            applyFault(cmd, *faults[i]);
-    };
-    if (pool_ == nullptr || pool_->inlineOnly() || hi - lo == 1) {
-        for (std::size_t i = lo; i < hi; ++i)
-            runOne(i);
-        return;
-    }
-
-    // Lane partition: commands whose touched-tile sets overlap share a
-    // lane and execute in program order; disjoint lanes run concurrently
-    // — the host-side mirror of the banks' independence. Union-find over
-    // tile ownership.
+    // Grid box [glo, ghi) of the tiles each command touches (Syncs and
+    // commands outside the array touch none), and the union of those
+    // tiles with the merge targets of @p in and the sources of @p out.
     const std::size_t n = hi - lo;
-    std::vector<std::vector<std::int64_t>> touched(n);
-    pool_->parallelFor(static_cast<std::int64_t>(n), [&](std::int64_t k) {
-        touched[static_cast<std::size_t>(k)] =
-            touchedTiles(prog.commands[lo + static_cast<std::size_t>(k)]);
+    std::vector<Coord> boxes(2 * nd * n, 0);
+    std::vector<std::uint8_t> touched(
+        static_cast<std::size_t>(layout_.numTiles()), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const InMemCommand &cmd = prog.commands[lo + i];
+        if (cmd.kind == CmdKind::Sync)
+            continue;
+        kindCount_[static_cast<std::size_t>(cmd.kind)].fetch_add(
+            1, std::memory_order_relaxed);
+        const HyperRect &r =
+            cmd.kind == CmdKind::BroadcastVal ? arrayRect_ : cmd.tensor;
+        const std::vector<std::int64_t> hit = layout_.tilesIntersecting(r);
+        if (hit.empty())
+            continue;
+        for (std::int64_t t : hit)
+            touched[static_cast<std::size_t>(t)] = 1;
+        Coord *glo = &boxes[2 * nd * i];
+        for (unsigned d = 0; d < nd; ++d) {
+            glo[d] = std::max<Coord>(r.lo(d), 0) / tsz[d];
+            glo[nd + d] = (std::min(r.hi(d), shape[d]) - 1) / tsz[d] + 1;
+        }
+    }
+    if (in != nullptr)
+        for (std::int64_t t : in->slotDst)
+            if (t >= 0)
+                touched[static_cast<std::size_t>(t)] = 1;
+    if (out != nullptr)
+        for (std::int64_t t : out->srcTiles)
+            touched[static_cast<std::size_t>(t)] = 1;
+    std::vector<std::int64_t> tiles;
+    for (std::size_t t = 0; t < touched.size(); ++t)
+        if (touched[t])
+            tiles.push_back(static_cast<std::int64_t>(t));
+
+    parallelOver(static_cast<std::int64_t>(tiles.size()),
+                 [&](std::int64_t j) {
+        const std::int64_t t = tiles[static_cast<std::size_t>(j)];
+        std::array<Coord, kMaxDims> g{};
+        std::int64_t rest = t;
+        for (unsigned d = 0; d < nd; ++d) {
+            g[d] = rest % grid[d];
+            rest /= grid[d];
+        }
+        // Wall time per run of same-kind work on this tile: the clock is
+        // read only where the kind changes.
+        std::array<std::uint64_t, 6> nanos{};
+        std::size_t run_kind = nanos.size();
+        Clock::time_point run_start{};
+        auto enter = [&](std::size_t kind) {
+            if (kind == run_kind)
+                return;
+            const Clock::time_point now = Clock::now();
+            if (run_kind < nanos.size())
+                nanos[run_kind] += static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        now - run_start)
+                        .count());
+            run_kind = kind;
+            run_start = now;
+        };
+        constexpr auto kInter = static_cast<std::size_t>(CmdKind::InterShift);
+        // Work units: one per command visit, and one per InterShift that
+        // lands planes here — the occupancy a command-major walk counts.
+        std::uint64_t visits = 0;
+        if (in != nullptr) {
+            const std::array<std::size_t, 2> slots = {
+                landingSlot(*in, 0, t), landingSlot(*in, 1, t)};
+            if (slots[0] != kNoSlot || slots[1] != kNoSlot) {
+                enter(kInter);
+                mergePlanes(*in, t, slots);
+                ++visits;
+            }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const Coord *glo = &boxes[2 * nd * i];
+            const Coord *ghi = glo + nd;
+            bool inside = true;
+            for (unsigned d = 0; d < nd && inside; ++d)
+                inside = g[d] >= glo[d] && g[d] < ghi[d];
+            if (!inside)
+                continue;
+            const InMemCommand &cmd = prog.commands[lo + i];
+            enter(static_cast<std::size_t>(cmd.kind));
+            applyOnTile(cmd, t);
+            ++visits;
+            const PlannedFault *pf = faults[lo + i];
+            if (pf != nullptr && pf->tile == t)
+                applyFault(cmd, *pf);
+        }
+        if (out != nullptr) {
+            const auto it = std::lower_bound(out->srcTiles.begin(),
+                                             out->srcTiles.end(), t);
+            if (it != out->srcTiles.end() && *it == t) {
+                enter(kInter);
+                gatherPlanes(*out, static_cast<std::size_t>(
+                                       it - out->srcTiles.begin()));
+            }
+        }
+        enter(nanos.size()); // Close the last run.
+        addBankOps(t, visits);
+        for (std::size_t k = 0; k < nanos.size(); ++k)
+            if (nanos[k] != 0)
+                kindNanos_[k].fetch_add(nanos[k],
+                                        std::memory_order_relaxed);
     });
-    std::vector<std::size_t> parent(n);
-    for (std::size_t i = 0; i < n; ++i)
-        parent[i] = i;
-    std::function<std::size_t(std::size_t)> find =
-        [&](std::size_t x) -> std::size_t {
-        while (parent[x] != x) {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        return x;
-    };
-    std::unordered_map<std::int64_t, std::size_t> tile_owner;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::int64_t t : touched[i]) {
-            auto [it, inserted] = tile_owner.emplace(t, i);
-            if (!inserted) {
-                std::size_t a = find(it->second), b = find(i);
-                if (a != b)
-                    parent[b] = a;
-                it->second = find(a);
-            }
-        }
-    }
-    std::unordered_map<std::size_t, std::size_t> root_lane;
-    std::vector<std::vector<std::size_t>> lanes;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t r = find(i);
-        auto [it, inserted] = root_lane.emplace(r, lanes.size());
-        if (inserted)
-            lanes.emplace_back();
-        lanes[it->second].push_back(i);
-    }
-
-    if (hazardCheck_ && lanes.size() > 1) {
-        // Engine self-check (DESIGN.md §10): the lanes about to run
-        // concurrently must have pairwise-disjoint tile sets — the same
-        // disjointness invariant the command hazard analyzer proves at
-        // lowering time (verifyLevel == Full).
-        std::unordered_map<std::int64_t, std::size_t> owner;
-        for (std::size_t l = 0; l < lanes.size(); ++l) {
-            for (std::size_t i : lanes[l]) {
-                for (std::int64_t t : touched[i]) {
-                    auto [it, inserted] = owner.emplace(t, l);
-                    infs_assert(inserted || it->second == l,
-                                "bank-parallel hazard: tile %lld shared "
-                                "by concurrent lanes %zu and %zu",
-                                static_cast<long long>(t), it->second, l);
-                }
-            }
-        }
-    }
-
-    if (lanes.size() == 1) {
-        for (std::size_t i = lo; i < hi; ++i)
-            runOne(i);
-        return;
-    }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(lanes.size());
-    for (const auto &lane : lanes) {
-        tasks.push_back([&, lane] {
-            for (std::size_t k : lane)
-                runOne(lo + k);
-        });
-    }
-    pool_->runTasks(std::move(tasks));
 }
 
 void
 BitAccurateFabric::execute(const InMemProgram &prog)
 {
     // Fault pre-sampling: one sequential walk in program order consumes
-    // the RNG streams exactly as the legacy inline path did, so the
-    // injected schedule (and every counter) is bit-identical for any
-    // pool size. The state effects are applied later inside the owning
-    // lane — ordered with respect to every command that shares a tile.
+    // the RNG streams, so the injected schedule (and every counter) is
+    // bit-identical for any pool size. The state effects are applied
+    // later by the worker that owns the fault's tile, right after the
+    // faulting command.
     std::vector<PlannedFault> planned;
     std::vector<const PlannedFault *> faults(prog.commands.size(),
                                              nullptr);
@@ -1171,13 +1043,43 @@ BitAccurateFabric::execute(const InMemProgram &prog)
             faults[pf.cmdIndex] = &pf;
     }
 
-    std::size_t seg_lo = 0;
-    for (std::size_t i = 0; i <= prog.commands.size(); ++i) {
-        if (i == prog.commands.size() ||
-            prog.commands[i].kind == CmdKind::Sync) {
-            executeSegment(prog, seg_lo, i, faults);
-            seg_lo = i + 1;
+    // Phases end at each InterShift and BroadcastBl. An InterShift's
+    // gather reads only its source tiles and its merge writes only its
+    // destination tiles, so both fold into the phases around it and the
+    // pool joins once per InterShift — the Sync that guards inter-tile
+    // movement. A BroadcastBl runs on its own between two phases.
+    const std::size_t n = prog.commands.size();
+    const PlaneMove *in = nullptr;
+    std::size_t next_move = 0;
+    for (std::size_t i = 0; i <= n;) {
+        std::size_t j = i;
+        while (j < n && prog.commands[j].kind != CmdKind::InterShift &&
+               prog.commands[j].kind != CmdKind::BroadcastBl)
+            ++j;
+        PlaneMove *out = nullptr;
+        if (j < n && prog.commands[j].kind == CmdKind::InterShift) {
+            out = &moves_[next_move];
+            next_move ^= 1;
+            planMove(prog.commands[j], *out);
+            kindCount_[static_cast<std::size_t>(CmdKind::InterShift)]
+                .fetch_add(1, std::memory_order_relaxed);
         }
+        if (j > i || in != nullptr || out != nullptr)
+            runPhase(prog, i, j, faults, in, out);
+        in = out;
+        if (j < n && prog.commands[j].kind == CmdKind::BroadcastBl) {
+            const auto t0 = std::chrono::steady_clock::now();
+            execBroadcast(prog.commands[j]);
+            const auto k = static_cast<std::size_t>(CmdKind::BroadcastBl);
+            kindCount_[k].fetch_add(1, std::memory_order_relaxed);
+            kindNanos_[k].fetch_add(
+                static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count()),
+                std::memory_order_relaxed);
+        }
+        i = j + 1;
     }
 }
 

@@ -8,11 +8,12 @@
  * TensorController owns timing).
  *
  * Execution is bank-parallel on the host (DESIGN.md §10): tiles are
- * independent SRAM arrays, so per-tile work inside one command fans out
- * across a thread pool, and whole commands between two Sync barriers run
- * concurrently when their touched-tile sets are disjoint (lane
- * partitioning — the simulator-side mirror of the hardware's 64
- * independent banks). Results are bit-identical for every pool size.
+ * independent SRAM arrays, so the program runs tile-major in phases —
+ * one worker per tile applies, in program order, every command of the
+ * phase that touches its tile — and the pool joins only where an
+ * InterShift moves whole bit planes from one phase's source tiles into
+ * the next phase's destination tiles. Results are bit-identical for every
+ * pool size.
  */
 
 #ifndef INFS_UARCH_BIT_EXEC_HH
@@ -39,8 +40,12 @@ class FaultInjector;
 /**
  * Host-side execution counters for one fabric: per-command-kind counts and
  * wall time (the CI regression-triage breakdown) plus tile-mask cache
- * effectiveness. Wall time is summed across concurrently executing lanes,
- * so it is CPU time spent in each kind, not elapsed time.
+ * effectiveness. Wall time is CPU time spent in each kind, not elapsed
+ * time: each kind sums, over tiles, the time of each run of same-kind
+ * work on one tile, an InterShift's work being its plane gather on a
+ * source tile and its merge on a destination tile. The clock is read
+ * where the kind changes, not once per tile and command. BroadcastBl,
+ * which runs on its own, sums the time of each command.
  */
 struct FabricStats {
     struct Kind {
@@ -118,17 +123,18 @@ class BitAccurateFabric
 
     /**
      * Execute every command of @p prog, bank-parallel when a thread pool
-     * is attached. Between two Sync barriers, commands whose touched-tile
-     * sets are disjoint execute concurrently (each lane in program
-     * order); per-tile work inside a command fans out as well. Fault
-     * sampling is hoisted into a sequential pre-pass in program order, so
-     * the injected schedule — and therefore the result and every counter
-     * — is identical for any pool size.
+     * is attached. The program runs as phases split at each InterShift
+     * and BroadcastBl; a phase is one fan-out over the tiles it touches.
+     * Each tile first merges the planes the previous InterShift moved
+     * into it, then applies the phase's tile-local commands (Compute,
+     * IntraShift, BroadcastVal; Syncs are skipped) in program order, then
+     * gathers its planes for the InterShift that ends the phase.
+     * BroadcastBl runs on its own between two phases. Fault sampling is
+     * hoisted into a sequential pre-pass in program order, so the
+     * injected schedule — and therefore the result and every counter —
+     * is identical for any pool size.
      */
     void execute(const InMemProgram &prog);
-
-    /** Execute one command (inline, legacy single-command entry). */
-    void executeCommand(const InMemCommand &cmd);
 
     /** Direct access for tests. */
     ComputeSram &tile(std::int64_t t);
@@ -146,36 +152,25 @@ class BitAccurateFabric
     /** Attach a host thread pool (nullptr = inline execution). */
     void setThreadPool(ThreadPool *pool) { pool_ = pool; }
 
-    /**
-     * Debug-mode precondition check (DESIGN.md §10): before running a
-     * sync segment's lanes concurrently, re-verify that the lanes'
-     * touched-tile sets really are disjoint — the same invariant the
-     * PR-2 command hazard analyzer proves at lowering time. Aborts on
-     * violation; off by default (the analyzer already gates JIT output
-     * when SystemConfig::verifyLevel == Full).
-     */
-    void setHazardCheck(bool on) { hazardCheck_ = on; }
-
-    /** Tiles (lattice rects intersected, shift targets, broadcast
-     * destinations) command @p cmd reads or writes. Sorted, unique. */
-    std::vector<std::int64_t> touchedTiles(const InMemCommand &cmd) const;
-
     /** Snapshot of the per-command-kind counters and cache stats. */
     FabricStats stats() const;
     void resetStats();
 
     /**
      * Per-tile bitline mask of cmd.tensor cells (shift-mask aware).
-     * Memoized: keyed by (tile, tensor bounds, positional window), built
-     * word-level on first use, served from a sharded thread-safe cache
-     * afterwards (same discipline as the JIT lowering memo). The layout
-     * is immutable after construction, so entries never go stale; the
-     * returned reference is stable for the fabric's lifetime.
+     * Memoized on the tile-local box the cells form — cmd.tensor clipped
+     * to the array and to tile @p t, relative to the tile's origin, with
+     * the positional window folded in along cmd.dim — so interior tiles
+     * share one entry and a lookup allocates nothing. Built word-level on
+     * first use and served from a sharded thread-safe cache afterwards
+     * (same discipline as the JIT lowering memo); the returned reference
+     * is stable for the fabric's lifetime.
      */
     const BitRow &tileMask(const InMemCommand &cmd, std::int64_t t,
                            bool apply_shift_mask) const;
 
-    /** Fresh, uncached build of the same mask (differential tests). */
+    /** Fresh, uncached build of the same mask, one cell at a time
+     * (the differential tests' reference). */
     BitRow tileMaskUncached(const InMemCommand &cmd, std::int64_t t,
                             bool apply_shift_mask) const;
 
@@ -190,25 +185,77 @@ class BitAccurateFabric
 
     /** Apply one pre-sampled upset: flip, detect via parity, repair. */
     void applyFault(const InMemCommand &cmd, const PlannedFault &pf);
-    /** Sample (legacy inline path) and apply an upset for @p cmd. */
-    void injectAndRepair(const InMemCommand &cmd);
-    /** Execute @p cmd's state update without fault hooks. */
-    void executeNoFault(const InMemCommand &cmd);
-    /** Run commands [lo, hi) of @p prog as one sync segment. */
-    void executeSegment(const InMemProgram &prog, std::size_t lo,
-                        std::size_t hi,
-                        const std::vector<const PlannedFault *> &faults);
+
+    /**
+     * Whole-plane InterShift in flight. With dist = q * tile_k + r (0 <=
+     * r < tile_k), the cells of a source tile at in-tile positions below
+     * tile_k - r (part 0) land in tile g_k + q, the rest (part 1) in
+     * g_k + q + 1, each part at one constant bitline shift. Planned on
+     * the calling thread, gathered per source tile at the end of one
+     * phase, merged per destination tile at the start of the next.
+     */
+    struct PlaneMove {
+        struct Part {
+            Coord wlo, whi;    ///< In-tile positions along k that move.
+            int shift;         ///< Bitline shift into the destination.
+            std::int64_t step; ///< Destination minus source tile id.
+        };
+        const InMemCommand *cmd = nullptr;
+        /** Source cells whose destination lies inside the array. */
+        HyperRect src;
+        std::array<Part, 2> parts{};
+        std::vector<std::int64_t> srcTiles; ///< Sorted.
+        /** Destination tile of slot 2 * i + part; -1 when nothing of
+         * srcTiles[i] moves in that part. */
+        std::vector<std::int64_t> slotDst;
+        /** Per slot: the bits moved data planes, then the destination
+         * mask, rowWords words each. Reused across commands. */
+        std::vector<std::uint64_t> planes;
+        unsigned bits = 0;
+        std::size_t rowWords = 0;
+
+        std::size_t slotWords() const { return (bits + 1) * rowWords; }
+    };
+
+    /** Fill @p mv for InterShift @p cmd (sequential, no tile access). */
+    void planMove(const InMemCommand &cmd, PlaneMove &mv) const;
+    /** Stage the moving planes of source tile mv.srcTiles[i]. */
+    void gatherPlanes(PlaneMove &mv, std::size_t i);
+    /** No landing slot. */
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+    /** The slot of part @p p that @p mv lands in tile @p t, or kNoSlot. */
+    static std::size_t landingSlot(const PlaneMove &mv, std::size_t p,
+                                   std::int64_t t);
+    /** Merge the landing slots @p slots (kNoSlot: none) of @p mv into
+     * tile @p t. */
+    void mergePlanes(const PlaneMove &mv, std::int64_t t,
+                     const std::array<std::size_t, 2> &slots);
+
+    /**
+     * One tile-major phase: commands [lo, hi) of @p prog (tile-local
+     * kinds and Syncs only), preceded by the merge of @p in and followed
+     * by the gather of @p out (either may be null). One parallelOver
+     * across the tiles the phase touches; each worker applies, in
+     * program order, every command that touches its tile, and each
+     * planned fault right after its command.
+     */
+    void runPhase(const InMemProgram &prog, std::size_t lo, std::size_t hi,
+                  const std::vector<const PlannedFault *> &faults,
+                  const PlaneMove *in, PlaneMove *out);
+
+    /** Apply tile-local @p cmd to tile @p t alone. */
+    void applyOnTile(const InMemCommand &cmd, std::int64_t t);
+
     /** Bitline index delta for a unit step along @p dim inside a tile. */
     std::int64_t strideInTile(unsigned dim) const;
 
-    /** Word-level mask construction backing tileMask (setRange runs over
-     * the innermost contiguous dimension). */
-    BitRow buildTileMask(const InMemCommand &cmd, std::int64_t t,
-                         bool apply_shift_mask) const;
-
-    /** Allocate every tile in @p tiles (parallel loops must not race the
-     * lazy allocation in tile()). */
-    void ensureTiles(const std::vector<std::int64_t> &tiles);
+    /** Count @p n work units against tile @p t's bank group. */
+    void
+    addBankOps(std::int64_t t, std::uint64_t n)
+    {
+        bankOps_[static_cast<std::size_t>(t) % FabricStats::kBankSlots]
+            .fetch_add(n, std::memory_order_relaxed);
+    }
 
     /** Allocate every missing tile on the calling thread with deferred
      * rows; the caller materializes each one before use. */
@@ -229,18 +276,6 @@ class BitAccurateFabric
     using MoveRunFn = std::function<void(unsigned, std::int64_t, unsigned,
                                          unsigned, bool)>;
 
-    /**
-     * Enumerate the maximal coalesced runs of a tile-clipped part moved
-     * by @p dist along @p dim: each run is contiguous in source bitlines
-     * (dim 0 is innermost) and lands contiguously in exactly one
-     * destination tile. @p window applies the Alg. 2 positional shift
-     * mask [maskLo, maskHi); destinations outside the array shape along
-     * @p dim are discarded (§3.2).
-     */
-    void forEachMoveRun(const HyperRect &part, unsigned dim, bool window,
-                        Coord maskLo, Coord maskHi, Coord dist,
-                        const MoveRunFn &fn) const;
-
     /** Broadcast special case (dim 0, unit span): per outer coordinate
      * the bcCount replicas of one source element tile a contiguous dim-0
      * destination run — emit fill runs split at tile boundaries. */
@@ -257,11 +292,11 @@ class BitAccurateFabric
 
     /**
      * Batched gather/scatter of whole bitline word-spans between tiles
-     * (replaces the per-element PendingWrite path). @p enumerate is
-     * called once per source tile with that tile's clipped part and an
-     * emit callback; staged segment bits flow through per-source-tile
-     * arenas so overlapping source/destination slots stay safe and both
-     * phases fan out across the pool.
+     * for broadcasts. @p enumerate is called once per source tile with
+     * that tile's clipped part and an emit callback; staged segment bits
+     * flow through per-source-tile arenas so overlapping
+     * source/destination slots stay safe and both phases fan out across
+     * the pool.
      */
     void moveRuns(const std::vector<std::int64_t> &src_tiles,
                   const HyperRect &clipped, unsigned bits, unsigned wl_src,
@@ -269,25 +304,20 @@ class BitAccurateFabric
                   const std::function<void(const HyperRect &,
                                            const MoveRunFn &)> &enumerate);
 
-    void execCompute(const InMemCommand &cmd);
-    void execIntraShift(const InMemCommand &cmd);
-    void execInterShift(const InMemCommand &cmd);
     void execBroadcast(const InMemCommand &cmd);
-    void execBroadcastVal(const InMemCommand &cmd);
 
-    /** parallelFor over @p tiles when a pool is attached, else inline. */
-    void forEachTile(const std::vector<std::int64_t> &tiles,
-                     const std::function<void(std::int64_t)> &fn);
+    /** Most lattice dimensions a fabric handles (mask keys and tile
+     * grid coordinates live in fixed-size arrays). */
+    static constexpr unsigned kMaxDims = 8;
 
-    /** Everything that identifies one memoized tile mask. */
+    /**
+     * Everything that identifies one memoized tile mask: the tile-local
+     * box [lo, hi) of selected cells, relative to the tile's origin. An
+     * empty selection is the all-zero key.
+     */
     struct MaskKey {
-        std::int64_t tile = 0;
-        bool positional = false;
-        unsigned dim = 0;
-        Coord maskLo = 0;
-        Coord maskHi = 0;
-        std::vector<Coord> lo; ///< cmd.tensor bounds (clip is derived).
-        std::vector<Coord> hi;
+        std::array<Coord, kMaxDims> lo{};
+        std::array<Coord, kMaxDims> hi{};
 
         bool operator==(const MaskKey &o) const = default;
     };
@@ -295,6 +325,22 @@ class BitAccurateFabric
     struct MaskKeyHash {
         std::size_t operator()(const MaskKey &k) const;
     };
+
+    /**
+     * The key of the cells of @p r inside the array and tile @p t, with
+     * in-tile positions along @p wdim limited to [wlo, whi) (wdim < 0:
+     * no positional window).
+     */
+    MaskKey localBox(const HyperRect &r, std::int64_t t, int wdim,
+                     Coord wlo, Coord whi) const;
+
+    /** The memoized mask of @p key. A miss is counted only by the
+     * lookup whose insert lands, so the counts match for any pool size. */
+    const BitRow &boxMask(const MaskKey &key) const;
+
+    /** Word-level mask construction backing boxMask (setRange runs over
+     * the innermost contiguous dimension). */
+    BitRow buildBoxMask(const MaskKey &key) const;
 
     /** Sharded cache (the PR 3 JIT-memo discipline: hash-picked shard,
      * per-shard lock, node-stable entries). */
@@ -312,7 +358,6 @@ class BitAccurateFabric
     HyperRect arrayRect_;
     FaultInjector *fault_ = nullptr;
     ThreadPool *pool_ = nullptr;
-    bool hazardCheck_ = false;
     // Lazily allocated tiles (large layouts touch few in tests).
     mutable std::vector<std::unique_ptr<ComputeSram>> tiles_;
 
@@ -324,6 +369,9 @@ class BitAccurateFabric
     /** Per-bank-group work-unit counters (FabricStats::bankOps). */
     std::array<std::atomic<std::uint64_t>, FabricStats::kBankSlots>
         bankOps_{};
+    /** Two InterShifts can be in flight at a phase boundary: one
+     * merging, the next gathering. */
+    std::array<PlaneMove, 2> moves_;
     /** Scratch-alloc total at the last resetStats() (snapshots report the
      * delta; tiles never reset their own counters). */
     std::uint64_t scratchBase_ = 0;

@@ -70,10 +70,8 @@ TEST(ParallelFabric, StencilBitExactAcrossPoolSizes)
 
     auto run = [&](ThreadPool *pool) {
         BitAccurateFabric fab(lay);
-        if (pool) {
+        if (pool)
             fab.setThreadPool(pool);
-            fab.setHazardCheck(true);
-        }
         std::vector<float> out(n);
         fab.loadArray(va, slotOf(*prog, 0));
         fab.execute(*prog);
@@ -119,10 +117,8 @@ TEST(ParallelFabric, BroadcastChainBitExactAcrossPoolSizes)
 
     auto run = [&](ThreadPool *pool) {
         BitAccurateFabric fab(lay);
-        if (pool) {
+        if (pool)
             fab.setThreadPool(pool);
-            fab.setHazardCheck(true);
-        }
         std::vector<float> out(vol);
         fab.loadArray(va, slotOf(*prog, 0));
         fab.loadArray(vb, slotOf(*prog, 1));
@@ -169,10 +165,8 @@ TEST(ParallelFabric, FaultInjectionIdenticalAcrossPoolSizes)
         FaultInjector inj(fc);
         BitAccurateFabric fab(lay);
         fab.attachFaultInjector(&inj);
-        if (pool) {
+        if (pool)
             fab.setThreadPool(pool);
-            fab.setHazardCheck(true);
-        }
         std::vector<float> out(n);
         fab.loadArray(va, slotOf(*prog, 0));
         fab.loadArray(vb, slotOf(*prog, 1));
@@ -274,6 +268,62 @@ TEST(ParallelFabric, StagingLeavesCountersAndBitsIdentical)
                   std::bit_cast<std::uint32_t>(four[i]))
             << i;
     }
+}
+
+/** A 3-D stencil over many tiles (partial ones along every dim): the
+ * tile-major runs, plane moves along each dim and the shared tile masks
+ * must give the same bits and the same counters inline and on 8 threads
+ * (the counters feed chooseSchedule). */
+TEST(ParallelFabric, ThreeDimStencilCountersIdenticalAcrossPoolSizes)
+{
+    SystemConfig cfg = testSystemConfig();
+    AddressMap map(cfg.l3);
+    JitCompiler jit(cfg);
+    const Coord n0 = 18, n1 = 30, n2 = 21;
+    TdfgGraph g(3, "stencil3d");
+    auto box = [&](unsigned d, Coord lo) {
+        std::vector<Coord> l = {1, 1, 1}, h = {n0 - 1, n1 - 1, n2 - 1};
+        l[d] += lo;
+        h[d] += lo;
+        return g.tensor(0, HyperRect(l, h));
+    };
+    // One neighbour per dim, alternating directions.
+    g.output(g.compute(BitOp::Add, {box(0, 0), g.move(box(0, -1), 0, 1),
+                                    g.move(box(1, 1), 1, -1),
+                                    g.move(box(2, -1), 2, 1)}),
+             1);
+    TiledLayout lay({n0, n1, n2}, {4, 8, 8});
+    auto prog = jit.lower(g, lay, map);
+    ASSERT_GT(prog->numInterShift, 0u);
+
+    const std::size_t vol = static_cast<std::size_t>(n0 * n1 * n2);
+    std::vector<float> va(vol);
+    Rng rng(23);
+    for (auto &v : va)
+        v = rng.nextFloat(-8, 8);
+
+    auto run = [&](ThreadPool *pool, FabricStats &st) {
+        BitAccurateFabric fab(lay);
+        fab.setThreadPool(pool);
+        std::vector<float> out(vol);
+        fab.loadArray(va, slotOf(*prog, 0));
+        fab.execute(*prog);
+        fab.storeArray(out, outputSlotOf(*prog, 1));
+        st = fab.stats();
+        return out;
+    };
+
+    FabricStats st1, st8;
+    const std::vector<float> seq = run(nullptr, st1);
+    ThreadPool pool8(8);
+    const std::vector<float> par = run(&pool8, st8);
+    expectFabricCountersEqual(st1, st8);
+    // Interior tiles share their masks.
+    EXPECT_GT(st1.maskCacheHits, st1.maskCacheMisses);
+    for (std::size_t i = 0; i < vol; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(seq[i]),
+                  std::bit_cast<std::uint32_t>(par[i]))
+            << i;
 }
 
 // ----------------------------------------------------------------------
