@@ -102,8 +102,7 @@ BM_Transpose32(benchmark::State &state)
 }
 BENCHMARK(BM_Transpose32)
     ->Arg(static_cast<int>(SimdIsa::Portable))
-    ->Arg(static_cast<int>(SimdIsa::Avx2))
-    ->Arg(static_cast<int>(SimdIsa::Neon));
+    ->Arg(static_cast<int>(SimdIsa::Avx2));
 
 void
 BM_DecomposeTensor(benchmark::State &state)

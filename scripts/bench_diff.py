@@ -3,7 +3,7 @@
 
 Usage: bench_diff.py BASELINE.json CURRENT.json [--max-regress PCT]
                      [--expect-backend NAME] [--min-improve PCT]
-                     [--min-improve-count N] [--min-improve-metric M]
+                     [--min-improve-count N]
 
 Gates, all on machine-independent quantities (DESIGN.md section 10):
 
@@ -14,17 +14,10 @@ Gates, all on machine-independent quantities (DESIGN.md section 10):
   only increases can fail it, a sim_cycles reduction of any size always
   passes (improvements are the point of optimizer PRs).
 - With --min-improve PCT, at least --min-improve-count workloads
-  (default 1) must show a reduction of at least PCT percent versus
-  baseline on --min-improve-metric (default sim_cycles). This turns the
-  diff into a claim check for performance PRs: CI fails if an
-  advertised optimization stops delivering, not just if something
-  regresses. The metric may also be fabric_wall_ms — host wall clock of
-  the bit-accurate fabric passes — for host-optimization PRs (SIMD
-  kernels, DESIGN.md section 14); that comparison is only meaningful
-  when both files come from the SAME machine in the SAME CI job (e.g.
-  a portable-SIMD run vs a native run), which is how the bench-smoke
-  lane uses it. Rows where either side lacks a positive value of the
-  metric are skipped, never counted as improved.
+  (default 1) must show a sim_cycles reduction of at least PCT percent
+  versus baseline. This turns the diff into a claim check for
+  performance changes: CI fails if an advertised optimization stops
+  delivering, not just if something regresses.
 - `checksum` must be byte-identical whenever both files report a
   non-zero value AND both files' backends produce bit-certified sums.
   The fabric and functional backends are certified byte-identical
@@ -35,17 +28,18 @@ Gates, all on machine-independent quantities (DESIGN.md section 10):
   side means that file's harness predates checksum coverage for the
   scenario; the pair is reported but does not gate.
 
-Wall-clock fields are reported for context and never gate the
-regression check (only the explicit opt-in improvement gate above may
-read one). Accepts the infs-bench-v1 through -v5 schemas (v2 added
-repeat/median timing and fabric breakdowns; v3 adds the top-level
-`backend` and per-row `backend_sim_cycles`; v4 adds `job_sim_cycles`,
-`cmd_stats`, and optional ablation rows; v5 adds `simd_isa`,
-`numa_nodes`, and per-row schedule provenance, none of which gate
-here). Files older than v3 are fabric-backend by definition. --expect-backend fails fast when CURRENT was produced by a
-different backend than the pipeline intended (a mis-wired CI lane would
-otherwise silently skip the checksum gate). Exit status: 0 within
-budget, 1 regression or checksum mismatch, 2 usage/schema error.
+Wall-clock fields are reported for context and never gate. Accepts the
+infs-bench-v1 through -v5 schemas (v2 added repeat/median timing and
+fabric breakdowns; v3 adds the top-level `backend` and per-row
+`backend_sim_cycles`; v4 adds `job_sim_cycles`, `cmd_stats`, and
+optional ablation rows; v5 adds `simd_isa` and per-row schedule
+provenance, neither of which gates here; older v5 files also carry a
+`numa_nodes` field, which is ignored). Files older than v3 are
+fabric-backend by definition. --expect-backend fails fast when CURRENT
+was produced by a different backend than the pipeline intended (a
+mis-wired CI lane would otherwise silently skip the checksum gate).
+Exit status: 0 within budget, 1 regression or checksum mismatch, 2
+usage/schema error.
 """
 
 import argparse
@@ -96,12 +90,6 @@ def main():
                     metavar="N",
                     help="workloads that must meet --min-improve "
                          "(default 1)")
-    ap.add_argument("--min-improve-metric", metavar="M",
-                    choices=("sim_cycles", "fabric_wall_ms"),
-                    default="sim_cycles",
-                    help="quantity the improvement gate reads (default "
-                         "sim_cycles; fabric_wall_ms for same-machine "
-                         "host-perf claims)")
     args = ap.parse_args()
     if args.min_improve is not None and args.min_improve_count < 1:
         print("--min-improve-count must be >= 1", file=sys.stderr)
@@ -132,13 +120,9 @@ def main():
             continue
         bc, cc = b["sim_cycles"], c["sim_cycles"]
         delta = 100.0 * (cc - bc) / bc if bc else (100.0 if cc else 0.0)
-        if args.min_improve is not None:
-            bm = b.get(args.min_improve_metric)
-            cm = c.get(args.min_improve_metric)
-            if bm and cm is not None and bm > 0:
-                mdelta = 100.0 * (cm - bm) / bm
-                if -mdelta >= args.min_improve:
-                    improved.append(name)
+        if (args.min_improve is not None and bc > 0
+                and -delta >= args.min_improve):
+            improved.append(name)
         marker = " "
         if delta > args.max_regress:
             failed.append(f"{name}: sim_cycles {bc} -> {cc} "
@@ -172,13 +156,13 @@ def main():
         if len(improved) < args.min_improve_count:
             failed.append(
                 f"improvement gate: {len(improved)} workload(s) improved "
-                f"{args.min_improve_metric} >= {args.min_improve:g}% "
+                f"sim_cycles >= {args.min_improve:g}% "
                 f"({', '.join(improved) if improved else 'none'}), "
                 f"need {args.min_improve_count}")
         else:
             print(f"improvement gate: {len(improved)} workload(s) "
-                  f">= {args.min_improve:g}% faster on "
-                  f"{args.min_improve_metric} ({', '.join(improved)})")
+                  f">= {args.min_improve:g}% faster on sim_cycles "
+                  f"({', '.join(improved)})")
 
     if failed:
         print(f"\n{len(failed)} gate failure(s):", file=sys.stderr)

@@ -7,7 +7,7 @@
 # Usage: scripts/check.sh [--plain-only|--sanitize-only|--lint-only|--lint]
 #                         [--tsan-only] [--tier1] [--threads N]
 #                         [--backend fabric|functional|timing]
-#                         [--simd auto|off|portable|avx2|neon]
+#                         [--simd auto|portable|avx2]
 #
 # --tier1 builds once and runs only the ctest tier1 label — the fast
 # per-PR suite (functional/timing backends plus the differential subset);
@@ -52,7 +52,7 @@ while [[ $# -gt 0 ]]; do
         --simd)
             [[ $# -ge 2 ]] || { echo "--simd needs a value" >&2; exit 2; }
             case $2 in
-                auto|off|portable|avx2|neon) simd=$2 ;;
+                auto|portable|avx2) simd=$2 ;;
                 *) echo "check.sh: unknown simd isa '$2'" >&2; exit 2 ;;
             esac
             shift ;;

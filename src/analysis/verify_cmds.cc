@@ -290,10 +290,6 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
         recs.push_back(std::move(r));
     }
 
-    auto syncBetween = [&](std::size_t a, std::size_t b) {
-        auto it = std::upper_bound(syncs.begin(), syncs.end(), a);
-        return it != syncs.end() && *it < b;
-    };
     auto depBanks = [&](const HyperRect &overlap) {
         std::vector<BankId> banks = layout.banksFor(overlap, map);
         std::sort(banks.begin(), banks.end());
@@ -383,7 +379,9 @@ verifyCommands(const InMemProgram &prog, const TiledLayout &layout,
     // ---- (b) Local RAW coverage: the most recent writer of the cells a
     // command reads must share the dependence banks (per-bank program
     // order is then the ordering edge); a writer whose bank list misses
-    // them never delivers the value to the reader's banks.
+    // them never delivers the value to the reader's banks. A Sync between
+    // the two does not clear this: it orders commands but moves no data,
+    // so the cells the reader reads are still never produced.
     {
         std::unordered_map<unsigned, std::vector<const Rec *>> writers;
         for (const Rec &r : recs)

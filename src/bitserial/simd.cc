@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -10,10 +11,6 @@
 #if defined(__x86_64__) || defined(__i386__)
 #define INFS_SIMD_X86 1
 #include <immintrin.h>
-#endif
-#if defined(__ARM_NEON)
-#define INFS_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace infs::simd {
@@ -107,6 +104,9 @@ portRowXor(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
         dst[i] ^= src[i];
 }
 
+/** fp32 quiet-NaN bit (the top mantissa bit). */
+constexpr std::uint32_t kQuietBit = 0x00400000u;
+
 /**
  * LSB-first recursive block-swap transpose (Hacker's Delight 7-3 adapted
  * to LSB-first bit order): swaps bit (k|j) of row k with bit k of row
@@ -130,14 +130,23 @@ portTranspose32(const std::uint32_t *in, std::uint32_t *out)
         out[i] = x[i];
 }
 
+/** Quieted @p a when it is a NaN, else @p r (see SimdKernels::fpLanes). */
+inline float
+firstNaN(float a, float r)
+{
+    return std::isnan(a) ? std::bit_cast<float>(
+                               std::bit_cast<std::uint32_t>(a) | kQuietBit)
+                         : r;
+}
+
 inline float
 fpApply(FpOp op, float a, float b)
 {
     switch (op) {
-      case FpOp::Add: return a + b;
-      case FpOp::Sub: return a - b;
-      case FpOp::Mul: return a * b;
-      case FpOp::Div: return a / b;
+      case FpOp::Add: return firstNaN(a, a + b);
+      case FpOp::Sub: return firstNaN(a, a - b);
+      case FpOp::Mul: return firstNaN(a, a * b);
+      case FpOp::Div: return firstNaN(a, a / b);
       case FpOp::Max: return a > b ? a : b;
       case FpOp::Min: return a < b ? a : b;
     }
@@ -165,11 +174,10 @@ portFpLtMask(const std::uint32_t *a, const std::uint32_t *b, unsigned n)
 }
 
 constexpr SimdKernels
-makeTable(SimdIsa isa, bool blocked_fp)
+makeTable(SimdIsa isa)
 {
     SimdKernels k;
     k.isa = isa;
-    k.blockedFp = blocked_fp;
     k.rowFullAdder = portRowFullAdder;
     k.rowMaj = portRowMaj;
     k.rowSelect = portRowSelect;
@@ -469,6 +477,14 @@ avx2FpLanes(FpOp op, const std::uint32_t *a, const std::uint32_t *b,
           case FpOp::Min: rv = _mm256_min_ps(av, bv); break;
           default: rv = _mm256_setzero_ps(); break;
         }
+        if (op != FpOp::Max && op != FpOp::Min) {
+            // A NaN first operand wins, quieted, as in portFpLanes.
+            const __m256 a_nan = _mm256_cmp_ps(av, av, _CMP_UNORD_Q);
+            const __m256 a_quiet = _mm256_or_ps(
+                av, _mm256_castsi256_ps(_mm256_set1_epi32(
+                        static_cast<int>(kQuietBit))));
+            rv = _mm256_blendv_ps(rv, a_quiet, a_nan);
+        }
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(r + i),
                             _mm256_castps_si256(rv));
     }
@@ -501,7 +517,7 @@ avx2FpLtMask(const std::uint32_t *a, const std::uint32_t *b, unsigned n)
 SimdKernels
 makeAvx2Table()
 {
-    SimdKernels k = makeTable(SimdIsa::Avx2, true);
+    SimdKernels k = makeTable(SimdIsa::Avx2);
     k.rowFullAdder = avx2RowFullAdder;
     k.rowMaj = avx2RowMaj;
     k.rowSelect = avx2RowSelect;
@@ -522,201 +538,14 @@ makeAvx2Table()
 #endif // INFS_SIMD_X86
 
 // =====================================================================
-// NEON kernels (AArch64). The bitwise row kernels use 128-bit vectors;
-// the fp lanes use explicit compare+select for Max/Min because VMAX/VMIN
-// NaN semantics differ from the scalar reference.
-// =====================================================================
-
-#ifdef INFS_SIMD_NEON
-
-namespace {
-
-void
-neonRowFullAdder(std::uint64_t *sum, const std::uint64_t *addend,
-                 std::uint64_t *carry, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t aw = vld1q_u64(sum + i);
-        const uint64x2_t bw = vld1q_u64(addend + i);
-        const uint64x2_t cw = vld1q_u64(carry + i);
-        const uint64x2_t axb = veorq_u64(aw, bw);
-        vst1q_u64(sum + i, veorq_u64(axb, cw));
-        vst1q_u64(carry + i,
-                  vorrq_u64(vandq_u64(aw, bw), vandq_u64(cw, axb)));
-    }
-    if (i < n)
-        portRowFullAdder(sum + i, addend + i, carry + i, n - i);
-}
-
-void
-neonRowMaj(std::uint64_t *dst, const std::uint64_t *a,
-           const std::uint64_t *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t aw = vld1q_u64(a + i);
-        const uint64x2_t bw = vld1q_u64(b + i);
-        const uint64x2_t dw = vld1q_u64(dst + i);
-        vst1q_u64(dst + i,
-                  vorrq_u64(vandq_u64(aw, bw),
-                            vandq_u64(dw, veorq_u64(aw, bw))));
-    }
-    if (i < n)
-        portRowMaj(dst + i, a + i, b + i, n - i);
-}
-
-void
-neonRowSelect(std::uint64_t *dst, const std::uint64_t *a,
-              const std::uint64_t *b, const std::uint64_t *pred,
-              std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t av = vld1q_u64(a + i);
-        const uint64x2_t bv = vld1q_u64(b + i);
-        const uint64x2_t pv = vld1q_u64(pred + i);
-        vst1q_u64(dst + i, vbslq_u64(pv, av, bv));
-    }
-    if (i < n)
-        portRowSelect(dst + i, a + i, b + i, pred + i, n - i);
-}
-
-void
-neonRowMergeMasked(std::uint64_t *dst, const std::uint64_t *val,
-                   const std::uint64_t *mask, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const uint64x2_t dv = vld1q_u64(dst + i);
-        const uint64x2_t vv = vld1q_u64(val + i);
-        const uint64x2_t mv = vld1q_u64(mask + i);
-        vst1q_u64(dst + i, vbslq_u64(mv, vv, dv));
-    }
-    if (i < n)
-        portRowMergeMasked(dst + i, val + i, mask + i, n - i);
-}
-
-void
-neonRowAssignAnd(std::uint64_t *dst, const std::uint64_t *a,
-                 const std::uint64_t *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i, vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i)));
-    if (i < n)
-        portRowAssignAnd(dst + i, a + i, b + i, n - i);
-}
-
-void
-neonRowNotAnd(std::uint64_t *dst, const std::uint64_t *a,
-              const std::uint64_t *m, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i,
-                  vbicq_u64(vld1q_u64(m + i), vld1q_u64(a + i)));
-    if (i < n)
-        portRowNotAnd(dst + i, a + i, m + i, n - i);
-}
-
-void
-neonRowAnd(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i,
-                  vandq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    if (i < n)
-        portRowAnd(dst + i, src + i, n - i);
-}
-
-void
-neonRowOr(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i,
-                  vorrq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    if (i < n)
-        portRowOr(dst + i, src + i, n - i);
-}
-
-void
-neonRowXor(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-        vst1q_u64(dst + i,
-                  veorq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    if (i < n)
-        portRowXor(dst + i, src + i, n - i);
-}
-
-void
-neonFpLanes(FpOp op, const std::uint32_t *a, const std::uint32_t *b,
-            std::uint32_t *r, unsigned n)
-{
-    unsigned i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const float32x4_t av = vreinterpretq_f32_u32(vld1q_u32(a + i));
-        const float32x4_t bv = vreinterpretq_f32_u32(vld1q_u32(b + i));
-        float32x4_t rv;
-        switch (op) {
-          case FpOp::Add: rv = vaddq_f32(av, bv); break;
-          case FpOp::Sub: rv = vsubq_f32(av, bv); break;
-          case FpOp::Mul: rv = vmulq_f32(av, bv); break;
-          case FpOp::Div: rv = vdivq_f32(av, bv); break;
-          // Explicit compare+select: `a > b ? a : b` bit-exact, unlike
-          // vmaxq's NaN handling.
-          case FpOp::Max:
-            rv = vbslq_f32(vcgtq_f32(av, bv), av, bv);
-            break;
-          case FpOp::Min:
-            rv = vbslq_f32(vcltq_f32(av, bv), av, bv);
-            break;
-          default: rv = vdupq_n_f32(0.0f); break;
-        }
-        vst1q_u32(r + i, vreinterpretq_u32_f32(rv));
-    }
-    if (i < n)
-        portFpLanes(op, a + i, b + i, r + i, n - i);
-}
-
-SimdKernels
-makeNeonTable()
-{
-    SimdKernels k = makeTable(SimdIsa::Neon, true);
-    k.rowFullAdder = neonRowFullAdder;
-    k.rowMaj = neonRowMaj;
-    k.rowSelect = neonRowSelect;
-    k.rowMergeMasked = neonRowMergeMasked;
-    k.rowAssignAnd = neonRowAssignAnd;
-    k.rowNotAnd = neonRowNotAnd;
-    k.rowAnd = neonRowAnd;
-    k.rowOr = neonRowOr;
-    k.rowXor = neonRowXor;
-    k.fpLanes = neonFpLanes;
-    return k;
-}
-
-} // namespace
-
-#endif // INFS_SIMD_NEON
-
-// =====================================================================
 // Dispatch state.
 // =====================================================================
 
 namespace {
 
-const SimdKernels kOffTable = makeTable(SimdIsa::Off, false);
-const SimdKernels kPortableTable = makeTable(SimdIsa::Portable, true);
+const SimdKernels kPortableTable = makeTable(SimdIsa::Portable);
 #ifdef INFS_SIMD_X86
 const SimdKernels kAvx2Table = makeAvx2Table();
-#endif
-#ifdef INFS_SIMD_NEON
-const SimdKernels kNeonTable = makeNeonTable();
 #endif
 
 std::atomic<const SimdKernels *> g_active{nullptr};
@@ -730,9 +559,6 @@ detect()
     if (__builtin_cpu_supports("avx2"))
         return SimdIsa::Avx2;
 #endif
-#ifdef INFS_SIMD_NEON
-    return SimdIsa::Neon;
-#endif
     return SimdIsa::Portable;
 }
 
@@ -741,18 +567,11 @@ available(SimdIsa isa)
 {
     switch (isa) {
       case SimdIsa::Auto:
-      case SimdIsa::Off:
       case SimdIsa::Portable:
         return true;
       case SimdIsa::Avx2:
 #ifdef INFS_SIMD_X86
         return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-      case SimdIsa::Neon:
-#ifdef INFS_SIMD_NEON
-        return true;
 #else
         return false;
 #endif
@@ -789,24 +608,10 @@ resolve(SimdIsa requested)
 const SimdKernels &
 kernelsFor(SimdIsa isa)
 {
-    switch (isa) {
-      case SimdIsa::Off:
-        return kOffTable;
-      case SimdIsa::Avx2:
 #ifdef INFS_SIMD_X86
-        if (available(SimdIsa::Avx2))
-            return kAvx2Table;
+    if (isa == SimdIsa::Avx2 && available(SimdIsa::Avx2))
+        return kAvx2Table;
 #endif
-        break;
-      case SimdIsa::Neon:
-#ifdef INFS_SIMD_NEON
-        return kNeonTable;
-#else
-        break;
-#endif
-      default:
-        break;
-    }
     return kPortableTable;
 }
 

@@ -1,24 +1,20 @@
 /**
  * @file
  * Runtime-dispatched SIMD kernels for the bit-plane hot paths
- * (DESIGN.md §14). One binary carries every implementation — a portable
- * scalar word loop, AVX2, and NEON — and the active table is selected at
- * runtime from SystemConfig::simd, the INFS_SIMD environment variable, or
- * cpuid/compile-time detection. Every table computes bit-identical
- * results; the tests in tests/bitserial/test_simd_paths.cc certify each
- * reachable path differentially against the portable one.
+ * (DESIGN.md §14). One binary carries two implementations — a portable
+ * scalar word loop, which is the reference, and AVX2 — and the active
+ * table is selected at runtime from SystemConfig::simd, the INFS_SIMD
+ * environment variable, or cpuid detection. Both tables compute
+ * bit-identical results; tests/bitserial/test_simd_paths.cc certifies
+ * each reachable table against the portable one and against scalar
+ * per-lane references.
  *
  * Two kernel families live here:
  *  - row kernels: one pass over a BitRow's packed words (full adder,
- *    majority, select, predicated merge — the PR 4 fused word loops);
+ *    majority, select, predicated merge);
  *  - block kernels: 32x32 bit-matrix transpose and 64-lane fp32 ops, the
  *    building blocks of the chunked bit transpose (loadArray/storeArray)
- *    and the blocked fpBinary path in ComputeSram.
- *
- * SimdIsa::Off routes the row kernels to the portable code AND disables
- * the blocked fp path entirely (ComputeSram falls back to the legacy
- * per-element loop), so the pre-PR 10 execution path stays reachable and
- * testable from the same binary.
+ *    and the blocked fp32 path in ComputeSram.
  */
 
 #ifndef INFS_BITSERIAL_SIMD_HH
@@ -36,12 +32,10 @@ enum class FpOp : std::uint8_t { Add, Sub, Mul, Div, Max, Min };
 
 /**
  * One resolved kernel table. All function pointers are non-null; `isa`
- * names the implementation for stats/bench attribution. `blockedFp` is
- * false only for the Off table (legacy per-element fp32 path).
+ * names the implementation for stats/bench attribution.
  */
 struct SimdKernels {
     SimdIsa isa = SimdIsa::Portable;
-    bool blockedFp = true;
 
     /** sum' = sum ^ addend ^ carry; carry' = maj(sum, addend, carry). */
     void (*rowFullAdder)(std::uint64_t *sum, const std::uint64_t *addend,
@@ -80,8 +74,11 @@ struct SimdKernels {
      * 64 independent fp32 lane ops on raw bit patterns: r[i] =
      * op(bit_cast<float>(a[i]), bit_cast<float>(b[i])). Exactly one IEEE
      * operation per lane — Max/Min use the scalar `a > b ? a : b` /
-     * `a < b ? a : b` semantics (NaN and signed-zero behavior included),
-     * so every ISA produces the same bit pattern.
+     * `a < b ? a : b` semantics (NaN and signed-zero behavior included).
+     * IEEE leaves open which payload a NaN result carries, and a compiler
+     * may swap the operands of Add/Mul, so Add/Sub/Mul/Div fix it: when
+     * a[i] is a NaN the result is a[i] quieted. Every ISA therefore
+     * produces the same bit pattern.
      */
     void (*fpLanes)(FpOp op, const std::uint32_t *a, const std::uint32_t *b,
                     std::uint32_t *r, unsigned n);
@@ -94,7 +91,7 @@ struct SimdKernels {
 /** Best ISA the running host supports (compile-time + cpuid). */
 SimdIsa detect();
 
-/** Whether @p isa can execute on this host (Off/Portable always can). */
+/** Whether @p isa can execute on this host (Portable always can). */
 bool available(SimdIsa isa);
 
 /**

@@ -15,11 +15,11 @@ TensorTransposeUnit::loadTransposed(ComputeSram &sram,
     infs_assert(first_bitline + elems.size() <= sram.bitlines(),
                 "transpose overflows bitlines: %zu elems at %u",
                 elems.size(), first_bitline);
-    const simd::SimdKernels &k = simd::active();
-    if (dtypeBits(t) == 32 && k.blockedFp) {
+    if (dtypeBits(t) == 32) {
         // Chunked bit transpose (DESIGN.md §14): 64 elements become 32
         // bit planes via two 32x32 transposes, then one depositFrom per
         // plane instead of one writeElement per element.
+        const simd::SimdKernels &k = simd::active();
         BitMatrix &bm = sram.bits();
         std::uint32_t lanes[64];
         std::uint64_t planes[32];
@@ -55,8 +55,8 @@ TensorTransposeUnit::storeFromTransposed(const ComputeSram &sram,
     infs_assert(first_bitline + elems.size() <= sram.bitlines(),
                 "transpose overflows bitlines: %zu elems at %u",
                 elems.size(), first_bitline);
-    const simd::SimdKernels &k = simd::active();
-    if (dtypeBits(t) == 32 && k.blockedFp) {
+    if (dtypeBits(t) == 32) {
+        const simd::SimdKernels &k = simd::active();
         const BitMatrix &bm = sram.bits();
         std::uint32_t lanes[64];
         std::uint64_t planes[32];

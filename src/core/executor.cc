@@ -278,12 +278,12 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     // schedules were lowered ahead of time and only the dispatch-time
     // pick remains. Only the chosen program's jitTicks are ever charged,
     // and only when jit_enabled, so timing semantics are unchanged.
+    constexpr unsigned kFatBinaryCandidates = 3;
     std::vector<TiledLayout> candLayouts;
-    if (cfg.fatBinary && w.forceTile.empty() &&
-        cfg.fatBinaryCandidates > 1) {
+    if (cfg.fatBinary && w.forceTile.empty()) {
         for (TileDecision &d :
              policy.candidates(w.primaryShape, w.elemBytes, hints,
-                               cfg.fatBinaryCandidates))
+                               kFatBinaryCandidates))
             candLayouts.emplace_back(w.primaryShape, d.tile);
         if (candLayouts.size() <= 1)
             candLayouts.clear();
@@ -714,9 +714,8 @@ Executor::finalizeStats(ExecStats &st) const
     st.energyJoules = sys_.energy().totalJoules();
 
     // Dispatch provenance (schema v5): which SIMD table the bitserial
-    // layer resolved to and how many NUMA nodes the pool pins across.
+    // layer resolved to.
     st.simdIsa = simd::activeIsa();
-    st.numaNodes = sys_.pool().numaNodes();
 
     // Fault and recovery totals come from the injector — the single
     // source of truth across the NoC, the controller, and the fabric.

@@ -74,8 +74,6 @@ struct ExecStats {
     // Dispatch provenance (bench schema v5, DESIGN.md §14).
     /** SIMD kernel table the bitserial layer ran with. */
     SimdIsa simdIsa = SimdIsa::Portable;
-    /** NUMA nodes the host pool pins bank shards across (1 = none). */
-    unsigned numaNodes = 1;
     /** Fat-binary candidate the dispatcher picked for the primary layout
      * (index into the tiling policy's candidate list); -1 when only one
      * schedule was lowered. */

@@ -162,21 +162,19 @@ const char *backendName(ExecBackendKind b);
 bool parseBackendName(const std::string &name, ExecBackendKind &out);
 
 /**
- * Which SIMD instruction set the bit-plane kernels (src/bitserial/simd.hh)
- * dispatch to. One binary carries every path; the active one is picked at
- * runtime from this knob, the INFS_SIMD environment variable, or cpuid
- * detection (in that order). All paths are bit-identical by construction
+ * Which SIMD kernel table the bit-plane kernels (src/bitserial/simd.hh)
+ * dispatch to. One binary carries both tables; the active one is picked
+ * at runtime from this knob, the INFS_SIMD environment variable, or cpuid
+ * detection (in that order). The tables are bit-identical by construction
  * and certified by tests/bitserial/test_simd_paths.cc.
  */
 enum class SimdIsa : std::uint8_t {
     Auto,     ///< Resolve from INFS_SIMD, else detect the best available.
-    Off,      ///< Legacy inline word loops (no dispatch-layer kernels).
-    Portable, ///< Dispatch-layer kernels in portable scalar code.
+    Portable, ///< Portable scalar kernels (the reference table).
     Avx2,     ///< x86 AVX2 kernels (requires hardware support).
-    Neon,     ///< AArch64 NEON kernels (requires hardware support).
 };
 
-/** Human-readable ISA name ("auto"/"off"/"portable"/"avx2"/"neon"). */
+/** Human-readable ISA name ("auto"/"portable"/"avx2"). */
 const char *simdIsaName(SimdIsa isa);
 
 /** Parse an ISA name; returns false (leaving @p out untouched) on an
@@ -242,28 +240,15 @@ struct SystemConfig {
     SimdIsa simd = SimdIsa::Auto;
 
     /**
-     * NUMA-aware placement (DESIGN.md §14): pin thread-pool workers
-     * round-robin across the NUMA nodes of the host and construct bank
-     * shards (fabric tiles) on the workers that will execute them, so
-     * first-touch allocation lands tile state on the node that computes
-     * it. On single-node hosts (or with the knob off) behavior is exactly
-     * today's: no affinity calls, identical results either way — NUMA
-     * placement is purely a wall-clock knob like hostThreads.
-     */
-    bool numaAware = true;
-
-    /**
-     * Fat-binary schedule selection (DESIGN.md §14): the JIT lowers up to
-     * fatBinaryCandidates tile schedules per memoized region and the
-     * executor picks at dispatch time by replayed cost weighted with
-     * observed bank occupancy. Candidates sharing the reduced dimension's
-     * tile size are byte-identical on outputs, so selection never changes
-     * results — only simulated time. Off = today's single-schedule path.
+     * Fat-binary schedule selection (DESIGN.md §14): the JIT lowers a few
+     * tile schedules per memoized region (Executor's kFatBinaryCandidates)
+     * and the executor picks at dispatch time by replayed cost weighted
+     * with observed bank occupancy. Candidates sharing the reduced
+     * dimension's tile size are byte-identical on outputs, so selection
+     * never changes results — only simulated time. Off = the
+     * single-schedule path.
      */
     bool fatBinary = true;
-
-    /** Max candidate schedules the JIT pre-lowers per region (>= 1). */
-    unsigned fatBinaryCandidates = 3;
 
     /**
      * Host threads the simulator's parallel engine may use (bank-parallel

@@ -61,24 +61,6 @@ class ThreadPool
     bool inlineOnly() const { return threads_ <= 1; }
 
     /**
-     * Pin future worker threads round-robin across the given per-node CPU
-     * sets (DESIGN.md §14). Must be called before the first parallel call
-     * (workers spawn lazily); ignored once workers exist, on single-node
-     * sets, or on non-Linux hosts. Pinning changes only *where* workers
-     * run — chunking stays a pure function of (n, grain, threads), so
-     * results remain bit-exact.
-     */
-    void setNumaPinning(std::vector<std::vector<unsigned>> node_cpus);
-
-    /** NUMA nodes the pool pins across (1 = no pinning). */
-    unsigned numaNodes() const
-    {
-        return nodeCpus_.empty()
-                   ? 1u
-                   : static_cast<unsigned>(nodeCpus_.size());
-    }
-
-    /**
      * Run @p fn(i) for every i in [0, n). Blocks until all iterations
      * completed; the calling thread participates. Iterations are grouped
      * into contiguous chunks of at least @p grain indices; chunking is a
@@ -119,8 +101,6 @@ class ThreadPool
     };
 
     void startWorkers();
-    /** Apply the node-local CPU mask for worker @p index (Linux only). */
-    void pinWorker(std::thread &t, unsigned index) const;
     void workerLoop(unsigned self);
     /** Pop from own queue (back) or steal from a victim (front). */
     bool tryTake(unsigned self, Task &out);
@@ -130,8 +110,6 @@ class ThreadPool
     void submit(std::vector<Task> &&tasks);
 
     unsigned threads_ = 1;
-    /** Per-node CPU sets for worker pinning; empty = no pinning. */
-    std::vector<std::vector<unsigned>> nodeCpus_;
     std::atomic<bool> started_{false};
     std::atomic<bool> stopping_{false};
     std::atomic<std::uint64_t> stolen_{0};

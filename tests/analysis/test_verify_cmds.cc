@@ -231,6 +231,23 @@ TEST_F(VerifyCmds, LocalWriterMissingDependenceBanksIsRawHazard)
     EXPECT_TRUE(rep.has(VerifyCode::RawHazard)) << rep.str();
 }
 
+TEST_F(VerifyCmds, SyncDoesNotClearLocalWriterMissingDependenceBanks)
+{
+    // Same shape as above with a Sync between writer and reader: the
+    // barrier orders the two commands but moves no data, so the cells
+    // the writer never produced are still missing.
+    TiledLayout wide = *TiledLayout::make({2048}, {16});
+    InMemCommand w = computeImm(1, 0, 1040, 0, 32);
+    w.banks = wide.banksFor(HyperRect::interval(0, 16), map);
+    InMemCommand r = computeImm(2, 1024, 1040, 32, 64);
+    r.banks = wide.banksFor(r.tensor, map);
+    ASSERT_NE(w.banks, r.banks);
+    InMemProgram prog;
+    prog.commands = {w, sync(), r};
+    VerifyReport rep = verifyCommands(prog, wide, map, cfg);
+    EXPECT_TRUE(rep.has(VerifyCode::RawHazard)) << rep.str();
+}
+
 TEST_F(VerifyCmds, LocalFoldChainIsClean)
 {
     VerifyReport rep = verify({

@@ -234,7 +234,6 @@ TEST(ChooseSchedule, ExecutorRecordsProvenance)
     Executor exec(sys, Paradigm::InfS);
     ExecStats a = exec.run(sc->quick());
     EXPECT_EQ(a.simdIsa, simd::activeIsa());
-    EXPECT_GE(a.numaNodes, 1u);
     if (a.scheduleCandidates > 1)
         EXPECT_GE(a.scheduleId, 0);
 

@@ -87,7 +87,6 @@ struct Row {
     CmdStats cmd; ///< Command-optimizer counters (exec run + job pass).
     FabricStats fabric; ///< Per-command-kind breakdown (fabric backend).
     SimdIsa simdIsa = SimdIsa::Portable; ///< Resolved SIMD kernel table.
-    unsigned numaNodes = 1;    ///< NUMA nodes the pool pins across.
     int scheduleId = -1;       ///< Fat-binary pick (-1 = single schedule).
     unsigned scheduleCandidates = 0; ///< Candidates the dispatcher saw.
     std::vector<AblationRow> ablation; ///< Filled in --ablate mode.
@@ -194,7 +193,6 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
         if (r == 0) {
             // Warmup: record the deterministic quantities, discard time.
             row.simdIsa = st.simdIsa;
-            row.numaNodes = st.numaNodes;
             row.scheduleId = st.scheduleId;
             row.scheduleCandidates = st.scheduleCandidates;
             row.simCycles = static_cast<std::uint64_t>(st.cycles);
@@ -282,17 +280,14 @@ writeJson(std::FILE *f, const std::vector<Row> &rows, bool quick,
           unsigned threads, unsigned repeat, ExecBackendKind backend,
           const Knobs &knobs)
 {
-    // Host-level dispatch facts: identical across rows (one process, one
-    // resolved kernel table), so they live at the top level.
+    // Host-level dispatch fact: identical across rows (one process, one
+    // resolved kernel table), so it lives at the top level.
     const SimdIsa isa =
         rows.empty() ? SimdIsa::Portable : rows.front().simdIsa;
-    const unsigned numa_nodes =
-        rows.empty() ? 1u : rows.front().numaNodes;
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"schema\": \"infs-bench-v5\",\n");
     std::fprintf(f, "  \"backend\": \"%s\",\n", backendName(backend));
     std::fprintf(f, "  \"simd_isa\": \"%s\",\n", simdIsaName(isa));
-    std::fprintf(f, "  \"numa_nodes\": %u,\n", numa_nodes);
     std::fprintf(f, "  \"mode\": \"%s\",\n", quick ? "quick" : "full");
     std::fprintf(f, "  \"threads\": %u,\n", threads);
     std::fprintf(f, "  \"repeat\": %u,\n", repeat);
@@ -388,7 +383,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--quick|--full] [--backend fabric|functional|timing]\n"
-        "       [--simd auto|off|portable|avx2|neon] [--threads N]\n"
+        "       [--simd auto|portable|avx2] [--threads N]\n"
         "       [--repeat N] [--json out.json]\n"
         "       [--no-cmdopt] [--ablate] [--list-scenarios] "
         "[workload...]\n"
@@ -408,8 +403,7 @@ usage(const char *argv0)
         "running.\n"
         "--simd pins the bitserial SIMD kernel table (default auto = "
         "detect;\n"
-        "  every value is bit-identical — off also disables the blocked "
-        "fp path).\n"
+        "  every value is bit-identical).\n"
         "  Unknown values exit 2 before running.\n"
         "--threads 0 uses all hardware threads; simulated results are "
         "identical for any value.\n"
