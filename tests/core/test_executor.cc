@@ -196,6 +196,28 @@ TEST_F(ParadigmTest, UntileableArrayFallsBack)
     EXPECT_GT(infs.cycles, 0u);
 }
 
+TEST(Fallback, BuildStreamsPhaseRejectedByEq2RunsNearMemory)
+{
+    // A phase whose stream form is built per iteration is as offloadable
+    // as one with fixed streams: when Eq. 2 keeps it out of memory, Inf-S
+    // runs it near memory, not on the core.
+    Workload w = makeVecAdd(512);
+    ASSERT_EQ(w.phases.size(), 1u);
+    Phase &p = w.phases[0];
+    ASSERT_FALSE(p.streams.empty());
+    p.buildStreams = [streams = p.streams](std::uint64_t) {
+        return streams;
+    };
+    p.streams.clear();
+    InfinitySystem sys(testSystemConfig());
+    ExecStats st = Executor(sys, Paradigm::InfS).run(w);
+    EXPECT_FALSE(st.chosenTile.empty()); // Tiled, so Eq. 2 decided.
+    EXPECT_EQ(st.inMemOps, 0u);
+    EXPECT_EQ(st.regionsDegraded, 0u);
+    EXPECT_GT(st.nearMemCycles, 0u);
+    EXPECT_EQ(st.coreCycles, 0u);
+}
+
 TEST_F(ParadigmTest, Fig2CurveInL3FavorsLargeSizes)
 {
     // Fig 2: In-L3's advantage grows with input size.
