@@ -41,8 +41,9 @@ verifyCodeName(VerifyCode c)
 std::string
 VerifyDiag::str() const
 {
-    return "[" + std::string(verifyCodeName(code)) + "] " + where + ": " +
-           message;
+    std::string s = "[";
+    s.append(verifyCodeName(code)).append("] ").append(where);
+    return s.append(": ").append(message);
 }
 
 bool

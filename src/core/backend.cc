@@ -12,8 +12,7 @@
 namespace infs {
 
 void
-ExecBackend::runWorkloadFunctional(const Workload &w,
-                                   ArrayStore &store) const
+runWorkloadFunctional(const Workload &w, ArrayStore &store)
 {
     if (w.setup)
         w.setup(store);
@@ -63,30 +62,38 @@ makeBackend(ExecBackendKind kind, const SystemConfig &cfg)
                static_cast<unsigned>(kind));
 }
 
+RegionPlan
+planRegion(const Workload &w)
+{
+    RegionPlan plan;
+    plan.graphs.resize(w.phases.size());
+    for (std::size_t i = 0; i < w.phases.size(); ++i) {
+        if (!w.phases[i].buildTdfg)
+            continue;
+        plan.graphs[i] = w.phases[i].buildTdfg(0);
+        LayoutHints h = LayoutHints::fromGraph(*plan.graphs[i]);
+        plan.hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
+        plan.hints.broadcastDims.insert(h.broadcastDims.begin(),
+                                        h.broadcastDims.end());
+        if (h.reduceDim)
+            plan.hints.reduceDim = h.reduceDim;
+        plan.hasTdfg = true;
+    }
+    return plan;
+}
+
 std::optional<BackendJob>
 planPrimaryJob(const Workload &w, const SystemConfig &cfg,
                ThreadPool *pool, std::int64_t volume_cap)
 {
-    // §4.1 layout choice exactly as the executor resolves it: hints from
-    // every tensor phase, one primary layout for the region. Each phase's
-    // first-iteration graph is built once and lowered below.
-    std::vector<std::pair<const Phase *, TdfgGraph>> graphs;
-    LayoutHints hints;
-    for (const Phase &p : w.phases) {
-        if (!p.buildTdfg)
-            continue;
-        graphs.emplace_back(&p, p.buildTdfg(0));
-        LayoutHints h = LayoutHints::fromGraph(graphs.back().second);
-        hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
-        hints.broadcastDims.insert(h.broadcastDims.begin(),
-                                   h.broadcastDims.end());
-        if (h.reduceDim)
-            hints.reduceDim = h.reduceDim;
-    }
-    if (graphs.empty())
+    // §4.1 layout choice exactly as the executor resolves it: one primary
+    // layout for the region, from the hints of every tensor phase.
+    RegionPlan region = planRegion(w);
+    if (!region.hasTdfg)
         return std::nullopt;
     TilingPolicy policy(cfg.l3);
-    TileDecision tile = policy.choose(w.primaryShape, w.elemBytes, hints);
+    TileDecision tile =
+        policy.choose(w.primaryShape, w.elemBytes, region.hints);
     if (!tile.valid)
         return std::nullopt;
     auto made = TiledLayout::make(w.primaryShape, tile.tile);
@@ -103,10 +110,12 @@ planPrimaryJob(const Workload &w, const SystemConfig &cfg,
     AddressMap map(cfg.l3, cfg.noc.memCtrls);
     JitCompiler jit(cfg);
     jit.setThreadPool(pool);
-    for (const auto &[p, g] : graphs) {
-        if (!p->latticeShape.empty() || g.dims() != job.layout.dims())
-            continue; // Primary-layout phases only.
-        auto prog_or = jit.tryLower(g, job.layout, map);
+    for (std::size_t i = 0; i < w.phases.size(); ++i) {
+        const std::optional<TdfgGraph> &g = region.graphs[i];
+        if (!g || !w.phases[i].latticeShape.empty() ||
+            g->dims() != job.layout.dims())
+            continue; // Primary-layout tensor phases only.
+        auto prog_or = jit.tryLower(*g, job.layout, map);
         if (!prog_or)
             continue;
         job.prog = *prog_or;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Execution backends: the Executor and the tools run lowered in-memory
- * jobs through one ExecBackend chosen by SystemConfig::backend.
+ * Execution backends: the tools run each scenario's lowered primary job
+ * through one ExecBackend, picked with their --backend option.
  *
  * Three implementations are registered (DESIGN.md §12):
  *  - fabric:     the bit-accurate SRAM fabric plus the cycle replay —
@@ -80,15 +80,6 @@ class ExecBackend
      * results are bit-identical for any pool. */
     void setThreadPool(ThreadPool *pool) { pool_ = pool; }
 
-    /**
-     * Workload-level functional co-simulation on an ArrayStore: the
-     * reference tDFG-interpreter path every backend shares (promoted from
-     * the Executor's private runFunctional). This is semantics-only —
-     * reduction order may differ from the lowered tree reductions, so its
-     * results are reference values, not fabric bit patterns.
-     */
-    void runWorkloadFunctional(const Workload &w, ArrayStore &store) const;
-
   protected:
     SystemConfig cfg_;
     ThreadPool *pool_ = nullptr;
@@ -97,6 +88,30 @@ class ExecBackend
 /** Construct the registered backend implementation for @p kind. */
 std::unique_ptr<ExecBackend> makeBackend(ExecBackendKind kind,
                                          const SystemConfig &cfg);
+
+/**
+ * Workload-level functional co-simulation on an ArrayStore through the
+ * tDFG interpreter. This is semantics-only — reduction order may differ
+ * from the lowered tree reductions, so its results are reference values,
+ * not fabric bit patterns.
+ */
+void runWorkloadFunctional(const Workload &w, ArrayStore &store);
+
+/**
+ * The inputs of a region's §4.1 layout choice: each tensor phase's
+ * first-iteration graph, built exactly once (a build may run a full
+ * e-graph saturation), and the layout hints merged over all of them.
+ */
+struct RegionPlan {
+    /** Index-aligned with Workload::phases; empty for phases without a
+     * tDFG. */
+    std::vector<std::optional<TdfgGraph>> graphs;
+    LayoutHints hints;
+    bool hasTdfg = false; ///< Some phase has a tDFG.
+};
+
+/** Build @p w's region plan (the one place hints are merged). */
+RegionPlan planRegion(const Workload &w);
 
 /**
  * Plan the canonical per-scenario job (shared by infs-bench, infs-verify,

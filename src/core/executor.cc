@@ -25,29 +25,40 @@ paradigmName(Paradigm p)
     return "?";
 }
 
+namespace {
+
+/** A phase that has a stream form can run near memory. */
+bool
+hasStreamForm(const Phase &p)
+{
+    return !p.streams.empty() || static_cast<bool>(p.buildStreams);
+}
+
+} // namespace
+
 ExecStats
 Executor::run(const Workload &w, ArrayStore *store)
 {
     sys_.resetStats();
     if (store != nullptr)
-        backend_->runWorkloadFunctional(w, *store);
+        runWorkloadFunctional(w, *store);
 
     ExecStats st;
-    st.backend = sys_.config().backend;
     // Total element ops (for the in-memory fraction dots of Fig 14).
     for (const Phase &p : w.phases)
         st.totalOps +=
             (p.coreFlopsPerIter + p.residualFlopsPerIter) * p.iterations;
 
+    const unsigned cores = sys_.config().numCores();
     switch (paradigm_) {
       case Paradigm::Base1T:
-        runBase(w, st, 1);
+        runOutsideMemory(w, st, /*near=*/false, 1);
         break;
       case Paradigm::Base:
-        runBase(w, st, sys_.config().numCores());
+        runOutsideMemory(w, st, /*near=*/false, cores);
         break;
       case Paradigm::NearL3:
-        runNearL3(w, st);
+        runOutsideMemory(w, st, /*near=*/true, cores);
         break;
       case Paradigm::InL3:
         runInMemory(w, st, /*fused=*/false, /*jit=*/true);
@@ -64,7 +75,7 @@ Executor::run(const Workload &w, ArrayStore *store)
 }
 
 Tick
-Executor::corePhaseCycles(const Phase &p, unsigned threads, ExecStats &st,
+Executor::corePhaseCycles(const Phase &p, unsigned threads,
                           std::uint64_t iters) const
 {
     const SystemConfig &cfg = sys_.config();
@@ -94,11 +105,6 @@ Executor::corePhaseCycles(const Phase &p, unsigned threads, ExecStats &st,
     double mem_cycles =
         static_cast<double>(bytes) / std::min(core_side_bw, l3_bw);
 
-    // L3 misses go to DRAM (the phase-level residency knob).
-    // Handled at workload granularity via l3Residency during in-memory
-    // preparation; for the core paths charge DRAM per-phase.
-    double dram_cycles = 0.0;
-
     // Energy: core op + cache line movements.
     sys_.energy().charge(EnergyEvent::CoreOp,
                          static_cast<double>(flops) * rep);
@@ -107,10 +113,29 @@ Executor::corePhaseCycles(const Phase &p, unsigned threads, ExecStats &st,
     sys_.energy().charge(EnergyEvent::L3Access, lines * rep);
 
     Tick overhead = threads > 1 ? p.baseSyncPerIter : 200;
-    (void)st;
-    return static_cast<Tick>(
-               std::max({compute_cycles, mem_cycles, dram_cycles})) +
+    return static_cast<Tick>(std::max(compute_cycles, mem_cycles)) +
            overhead;
+}
+
+void
+Executor::runFallback(const Phase &p, ExecStats &st, bool near,
+                      unsigned threads, std::uint64_t first,
+                      std::uint64_t n)
+{
+    if (near && hasStreamForm(p)) {
+        for (std::uint64_t it = first; it < first + n; ++it) {
+            NearExecResult r =
+                p.buildStreams
+                    ? sys_.nearEngine().run(p.buildStreams(it), 0)
+                    : sys_.nearEngine().run(p.streams, 0);
+            st.nearMemCycles += r.cycles;
+            st.cycles += r.cycles;
+        }
+        return;
+    }
+    Tick per_iter = corePhaseCycles(p, threads, n);
+    st.coreCycles += per_iter * n;
+    st.cycles += per_iter * n;
 }
 
 void
@@ -119,34 +144,19 @@ Executor::degradeRegion(const Phase &p, ExecStats &st,
                         const Error &err)
 {
     ++st.regionsDegraded;
-    const bool near_ok =
-        !p.streams.empty() || static_cast<bool>(p.buildStreams);
     infs_warn("phase '%s': in-memory region failed (%s); degrading to %s",
               p.name.c_str(), err.str().c_str(),
-              near_ok ? "near-memory streams" : "the core");
-    if (near_ok) {
-        // Near-L3 fallback: the stream form covers the whole phase
-        // (including final reductions), mirroring runNearL3. This is the
-        // In-L3 -> Near-L3 step of the degradation chain, so it applies
-        // even when the paradigm is not fused.
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            NearExecResult r = sys_.nearEngine().run(
-                p.buildStreams ? p.buildStreams(first_iter + i)
-                               : p.streams,
-                0);
-            st.nearMemCycles += r.cycles;
-            st.cycles += r.cycles;
-        }
-    } else {
-        Tick per_iter =
-            corePhaseCycles(p, sys_.config().numCores(), st, iters);
-        st.coreCycles += per_iter * iters;
-        st.cycles += per_iter * iters;
-    }
+              hasStreamForm(p) ? "near-memory streams" : "the core");
+    // The stream form covers the whole phase (including final
+    // reductions). This is the In-L3 -> Near-L3 step of the degradation
+    // chain, so it applies even when the paradigm is not fused.
+    runFallback(p, st, /*near=*/true, sys_.config().numCores(), first_iter,
+                iters);
 }
 
 void
-Executor::runBase(const Workload &w, ExecStats &st, unsigned threads)
+Executor::runOutsideMemory(const Workload &w, ExecStats &st, bool near,
+                           unsigned threads)
 {
     // Cold data comes from DRAM once per workload.
     Bytes dram_bytes = static_cast<Bytes>(
@@ -157,50 +167,8 @@ Executor::runBase(const Workload &w, ExecStats &st, unsigned threads)
         st.cycles += t;
     }
     for (const Phase &p : w.phases) {
-        Tick before = st.cycles;
-        Tick per_iter = corePhaseCycles(p, threads, st, p.iterations);
-        st.coreCycles += per_iter * p.iterations;
-        st.cycles += per_iter * p.iterations;
-        st.phaseCycles.emplace_back(p.name, st.cycles - before);
-    }
-}
-
-void
-Executor::runNearL3(const Workload &w, ExecStats &st)
-{
-    Bytes dram_bytes = static_cast<Bytes>(
-        static_cast<double>(w.footprintBytes) * (1.0 - w.l3Residency));
-    if (dram_bytes > 0) {
-        Tick t = sys_.dram().transfer(dram_bytes);
-        st.dramCycles += t;
-        st.cycles += t;
-    }
-    for (const Phase &p : w.phases) {
-        Tick phase_start = st.cycles;
-        bool per_iter_streams = static_cast<bool>(p.buildStreams);
-        if (p.streams.empty() && !per_iter_streams) {
-            // Not offloadable: run in the core.
-            Tick per_iter = corePhaseCycles(
-                p, sys_.config().numCores(), st, p.iterations);
-            st.coreCycles += per_iter * p.iterations;
-            st.cycles += per_iter * p.iterations;
-            st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
-            continue;
-        }
-        if (per_iter_streams) {
-            for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                NearExecResult r =
-                    sys_.nearEngine().run(p.buildStreams(it), 0);
-                st.nearMemCycles += r.cycles;
-                st.cycles += r.cycles;
-            }
-        } else {
-            for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                NearExecResult r = sys_.nearEngine().run(p.streams, 0);
-                st.nearMemCycles += r.cycles;
-                st.cycles += r.cycles;
-            }
-        }
+        const Tick phase_start = st.cycles;
+        runFallback(p, st, near, threads, 0, p.iterations);
         st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
     }
 }
@@ -216,31 +184,17 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
         jit_enabled = false;
 
     // §4.1: pick the transposed layout from the tensor phases' hints;
-    // one primary layout serves all arrays of the region. Each phase's
-    // first-iteration graph is built once, here, and reused by the plan
-    // and the lowering below (a build may run a full e-graph saturation).
-    std::vector<std::optional<TdfgGraph>> graphs0(w.phases.size());
-    LayoutHints hints;
-    bool have_tdfg = false;
-    for (std::size_t i = 0; i < w.phases.size(); ++i) {
-        if (!w.phases[i].buildTdfg)
-            continue;
-        graphs0[i] = w.phases[i].buildTdfg(0);
-        LayoutHints h = LayoutHints::fromGraph(*graphs0[i]);
-        hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
-        hints.broadcastDims.insert(h.broadcastDims.begin(),
-                                   h.broadcastDims.end());
-        if (h.reduceDim)
-            hints.reduceDim = h.reduceDim;
-        have_tdfg = true;
-    }
+    // one primary layout serves all arrays of the region. The region
+    // plan's first-iteration graphs are reused by the plan and the
+    // lowering below.
+    RegionPlan region = planRegion(w);
     TilingPolicy policy(cfg.l3);
     TileDecision tile;
     if (!w.forceTile.empty()) {
         tile.valid = w.forceTile.size() == w.primaryShape.size();
         tile.tile = w.forceTile;
-    } else if (have_tdfg) {
-        tile = policy.choose(w.primaryShape, w.elemBytes, hints);
+    } else if (region.hasTdfg) {
+        tile = policy.choose(w.primaryShape, w.elemBytes, region.hints);
     }
     TiledLayout layout;
     if (tile.valid) {
@@ -257,13 +211,10 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
             layout = std::move(*made);
         }
     }
-    if (!have_tdfg || !tile.valid) {
+    if (!region.hasTdfg || !tile.valid) {
         // In-memory computing disabled (§4.1): fall back to near-memory
         // when fused, else to the core.
-        if (fused)
-            runNearL3(w, st);
-        else
-            runBase(w, st, cfg.numCores());
+        runOutsideMemory(w, st, fused, cfg.numCores());
         return;
     }
     st.chosenTile = tile.tile;
@@ -282,7 +233,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     std::vector<TiledLayout> candLayouts;
     if (cfg.fatBinary && w.forceTile.empty()) {
         for (TileDecision &d :
-             policy.candidates(w.primaryShape, w.elemBytes, hints,
+             policy.candidates(w.primaryShape, w.elemBytes, region.hints,
                                kFatBinaryCandidates))
             candLayouts.emplace_back(w.primaryShape, d.tile);
         if (candLayouts.size() <= 1)
@@ -319,84 +270,70 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     // timing walk below. The checks are side-effect free; hoisting them
     // is behavior-identical to the former in-loop order.
     enum class Route {
-        Irregular,   ///< No tDFG: near memory (fused) or the core.
+        Fallback,    ///< No tDFG, no valid phase layout, or Eq. 2 said no.
         DegradeTdfg, ///< Graph verification failed; degrade the region.
-        Fallback,    ///< No valid phase layout, or Eq. 2 said no.
         InMemory,    ///< Offloaded to the fabric.
     };
+    using ProgOr = Expected<std::shared_ptr<const InMemProgram>>;
     struct PhasePlan {
         const Phase *phase = nullptr;
-        Route route = Route::Irregular;
-        Error error;          ///< DegradeTdfg diagnostic.
-        // Rank-1 placeholder until the phase's graph is built (TdfgGraph
-        // has no empty state).
-        TdfgGraph g0{1};      ///< First-iteration graph (tDFG phases).
+        Route route = Route::Fallback;
+        Error error;               ///< DegradeTdfg diagnostic.
+        TdfgGraph *g0 = nullptr;   ///< First-iteration graph (tDFG phases).
         bool usesOwnLayout = false;
         TiledLayout ownLayout; ///< Phase-specific layout when set.
         std::string memoKey;   ///< Non-empty on the memoized path.
         /** Pre-lowered program (memoized path), set bank-parallel. */
-        std::optional<Expected<std::shared_ptr<const InMemProgram>>> prog;
+        std::optional<ProgOr> prog;
         /** Fat-binary: one program per candidate layout, index-aligned
          * with candLayouts (primary-layout memoized phases only). */
-        std::vector<Expected<std::shared_ptr<const InMemProgram>>>
-            candProgs;
+        std::vector<ProgOr> candProgs;
     };
-    std::vector<PhasePlan> plans;
-    plans.reserve(w.phases.size());
+    std::vector<PhasePlan> plans(w.phases.size());
     for (std::size_t i = 0; i < w.phases.size(); ++i) {
         const Phase &p = w.phases[i];
-        PhasePlan plan;
+        PhasePlan &plan = plans[i];
         plan.phase = &p;
-        if (!p.buildTdfg) {
-            plans.push_back(std::move(plan));
+        if (!region.graphs[i])
             continue;
-        }
-        plan.g0 = std::move(*graphs0[i]);
+        plan.g0 = &*region.graphs[i];
 
         // Pre-offload verification (DESIGN.md §9): a graph that fails its
         // invariants never reaches the offload decision or the JIT.
         if (cfg.verifyLevel != VerifyLevel::Off) {
-            if (auto ok = checkTdfg(plan.g0); !ok) {
+            if (auto ok = checkTdfg(*plan.g0); !ok) {
                 plan.route = Route::DegradeTdfg;
                 plan.error = ok.error();
-                plans.push_back(std::move(plan));
                 continue;
             }
         }
 
         // Phases whose lattice rank differs from the workload layout get
         // their own layout (or fall back when none is valid).
-        if (!p.latticeShape.empty() || plan.g0.dims() != layout.dims()) {
+        if (!p.latticeShape.empty() || plan.g0->dims() != layout.dims()) {
             std::vector<Coord> shape =
                 p.latticeShape.empty() ? w.primaryShape : p.latticeShape;
             TileDecision td;
-            if (shape.size() == plan.g0.dims())
+            if (shape.size() == plan.g0->dims())
                 td = policy.choose(shape, w.elemBytes,
-                                   LayoutHints::fromGraph(plan.g0));
-            if (!td.valid) {
-                plan.route = Route::Fallback;
-                plans.push_back(std::move(plan));
+                                   LayoutHints::fromGraph(*plan.g0));
+            if (!td.valid)
                 continue;
-            }
             plan.ownLayout = TiledLayout(shape, td.tile);
             plan.usesOwnLayout = true;
         }
 
-        TdfgSummary summary = plan.g0.summarize();
         // Eq. 2 (§4.3): Inf-S chooses between in- and near-memory; In-L3
         // (no near-memory support) between in-memory and the core. The
         // Fig 2 steady-state mode forces in-memory to plot the paradigm
         // itself.
-        OffloadDecision dec = decideOffload(summary, cfg, !jit_enabled);
-        if (!w.assumeTransposed && !dec.inMemory) {
-            plan.route = Route::Fallback;
-            plans.push_back(std::move(plan));
+        OffloadDecision dec =
+            decideOffload(plan.g0->summarize(), cfg, !jit_enabled);
+        if (!w.assumeTransposed && !dec.inMemory)
             continue;
-        }
         plan.route = Route::InMemory;
         if (p.sameTdfgEachIter)
             plan.memoKey = w.name + "/" + p.name;
-        plans.push_back(std::move(plan));
     }
 
     // ---- Pre-lower independent regions bank-parallel (DESIGN.md §10).
@@ -411,7 +348,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
         auto lowerOne = [&](PhasePlan *plan) {
             if (!plan->usesOwnLayout && !candLayouts.empty()) {
                 plan->candProgs = sys_.jit().lowerCandidates(
-                    plan->g0, candLayouts, sys_.map(), plan->memoKey);
+                    *plan->g0, candLayouts, sys_.map(), plan->memoKey);
                 // Candidate 0 is the policy winner — the legacy choice —
                 // so the degradation path below is unchanged when it
                 // fails.
@@ -420,7 +357,7 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
                 const TiledLayout &use_layout =
                     plan->usesOwnLayout ? plan->ownLayout : layout;
                 plan->prog = sys_.jit().tryLower(
-                    plan->g0, use_layout, sys_.map(), plan->memoKey);
+                    *plan->g0, use_layout, sys_.map(), plan->memoKey);
             }
         };
         ThreadPool &pool = sys_.pool();
@@ -444,243 +381,175 @@ Executor::runInMemory(const Workload &w, ExecStats &st, bool fused,
     // the fat-binary dispatcher of later phases (empty history means the
     // cost reduces to the replayed makespan alone).
     FabricStats observed;
+
+    // The one program runner (DESIGN.md §10): run @p prog_or for
+    // iterations [it, it + repeat) of @p p — JIT time when jit_enabled,
+    // execution, accounting. A lowering error, or a command fault that
+    // persists past the retry budget, degrades the rest of the phase from
+    // iteration @p it; returns false then.
+    auto runProgram = [&](const Phase &p, const ProgOr &prog_or,
+                          const TiledLayout &use_layout, std::uint64_t it,
+                          std::uint64_t repeat) {
+        if (!prog_or) {
+            degradeRegion(p, st, it, p.iterations - it, prog_or.error());
+            return false;
+        }
+        const InMemProgram &prog = **prog_or;
+        if (jit_enabled) {
+            st.jitCycles += prog.jitTicks;
+            st.cycles += prog.jitTicks;
+        }
+        InMemExecResult r =
+            sys_.tensorController().execute(prog, use_layout, 0, repeat);
+        if (r.failed) {
+            // The aborted attempt (including its retry time) is sunk
+            // cost; the region then reruns on the fallback path.
+            st.cycles += r.cycles;
+            degradeRegion(p, st, it, p.iterations - it,
+                          Error{ErrCode::CommandFailed,
+                                "in-memory command fault persisted past "
+                                "the retry budget"});
+            return false;
+        }
+        st.computeCycles += r.computeCycles * waves;
+        st.moveCycles += r.moveCycles * waves;
+        st.syncCycles += r.syncCycles * waves;
+        st.cycles += r.cycles * waves;
+        st.inMemOps += r.inMemOps;
+        st.intraTileBytes += r.intraTileBytes;
+        st.interTileBytes += r.interTileBytes;
+        st.interTileNocBytes += r.interTileNocBytes;
+        for (std::size_t b = 0; b < r.bankBusy.size(); ++b)
+            observed.bankOps[b % FabricStats::kBankSlots] +=
+                static_cast<std::uint64_t>(r.bankBusy[b]);
+        return true;
+    };
+
     for (PhasePlan &plan : plans) {
         const Phase &p = *plan.phase;
-        Tick phase_start = st.cycles;
-        if (plan.route == Route::Irregular) {
-            // Irregular-only phase: near memory when fused, core when not.
-            if (fused &&
-                (!p.streams.empty() || p.buildStreams)) {
-                if (p.buildStreams) {
-                    for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                        NearExecResult r =
-                            sys_.nearEngine().run(p.buildStreams(it), 0);
-                        st.nearMemCycles += r.cycles;
-                        st.cycles += r.cycles;
-                    }
-                } else {
-                    for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                        NearExecResult r =
-                            sys_.nearEngine().run(p.streams, 0);
-                        st.nearMemCycles += r.cycles;
-                        st.cycles += r.cycles;
-                    }
-                }
-            } else {
-                Tick per_iter = corePhaseCycles(p, cfg.numCores(), st,
-                                                p.iterations);
-                st.coreCycles += per_iter * p.iterations;
-                st.cycles += per_iter * p.iterations;
-            }
-            st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
-            continue;
-        }
-        if (plan.route == Route::DegradeTdfg) {
-            degradeRegion(p, st, 0, p.iterations, plan.error);
-            st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
-            continue;
-        }
+        const Tick phase_start = st.cycles;
         if (plan.route == Route::Fallback) {
-            // Eq. 2 says in-memory does not pay (or no valid layout):
-            // fused runs the stream form near memory; In-L3 falls back to
-            // the core.
-            if (fused && !p.streams.empty()) {
-                for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                    NearExecResult r = sys_.nearEngine().run(p.streams, 0);
-                    st.nearMemCycles += r.cycles;
-                    st.cycles += r.cycles;
-                }
-            } else {
-                Tick per_iter = corePhaseCycles(p, cfg.numCores(), st,
-                                                p.iterations);
-                st.coreCycles += per_iter * p.iterations;
-                st.cycles += per_iter * p.iterations;
-            }
-            st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);
-            continue;
-        }
-
-        const TiledLayout &use_layout =
-            plan.usesOwnLayout ? plan.ownLayout : layout;
-        prepareOnce();
-        auto accumulate = [&](const InMemExecResult &r) {
-            st.computeCycles += r.computeCycles * waves;
-            st.moveCycles += r.moveCycles * waves;
-            st.syncCycles += r.syncCycles * waves;
-            st.cycles += r.cycles * waves;
-            st.inMemOps += r.inMemOps;
-            st.intraTileBytes += r.intraTileBytes;
-            st.interTileBytes += r.interTileBytes;
-            st.interTileNocBytes += r.interTileNocBytes;
-            for (std::size_t b = 0; b < r.bankBusy.size(); ++b)
-                observed.bankOps[b % FabricStats::kBankSlots] +=
-                    static_cast<std::uint64_t>(r.bankBusy[b]);
-        };
-
-        if (!plan.memoKey.empty()) {
-            // The first iteration pays the JIT; the rest reuse the
-            // memoized program (§4.2). Lowered bank-parallel above.
-            auto &prog_or = *plan.prog;
-            if (!prog_or) {
-                degradeRegion(p, st, 0, p.iterations, prog_or.error());
-                st.phaseCycles.emplace_back(p.name,
-                                            st.cycles - phase_start);
-                continue;
-            }
-            std::shared_ptr<const InMemProgram> prog = *prog_or;
-            const TiledLayout *exec_layout = &use_layout;
-            if (!plan.candProgs.empty()) {
-                // Fat-binary dispatch (DESIGN.md §14): probe each cleanly
-                // lowered candidate's makespan on private replay models,
-                // then pick with the occupancy observed so far. Only the
-                // chosen program's JIT time is charged below — the others
-                // were lowered ahead of dispatch (that is the fat binary).
-                std::vector<ScheduleCandidate> cands;
-                std::vector<unsigned> ids;
-                for (unsigned c = 0; c < plan.candProgs.size(); ++c) {
-                    if (!plan.candProgs[c])
-                        continue; // Candidate failed to lower: drop it.
-                    ScheduleCandidate sc;
-                    sc.layout = candLayouts[c];
-                    sc.prog = *plan.candProgs[c];
-                    BackendJob job{candLayouts[c], sc.prog, primary_elems};
-                    sc.replayCycles = replayTiming(cfg, job).simCycles;
-                    cands.push_back(std::move(sc));
-                    ids.push_back(c);
-                }
-                if (cands.size() > 1) {
-                    unsigned pick = chooseSchedule(cands, observed);
-                    prog = cands[pick].prog;
-                    exec_layout = &candLayouts[ids[pick]];
-                    if (st.scheduleId < 0) {
-                        st.scheduleId = static_cast<int>(ids[pick]);
-                        st.scheduleCandidates =
-                            static_cast<unsigned>(cands.size());
-                        st.chosenTile = exec_layout->tile();
-                    }
-                }
-            }
-            if (jit_enabled) {
-                st.jitCycles += prog->jitTicks;
-                st.cycles += prog->jitTicks;
-            }
-            InMemExecResult r = sys_.tensorController().execute(
-                *prog, *exec_layout, 0, p.iterations);
-            if (r.failed) {
-                // The aborted attempt (including its retry time) is sunk
-                // cost; the region then reruns on the fallback path.
-                st.cycles += r.cycles;
-                degradeRegion(p, st, 0, p.iterations,
-                              Error{ErrCode::CommandFailed,
-                                    "in-memory command fault persisted "
-                                    "past the retry budget"});
-                st.phaseCycles.emplace_back(p.name,
-                                            st.cycles - phase_start);
-                continue;
-            }
-            accumulate(r);
+            // Near memory when fused; In-L3 falls back to the core.
+            runFallback(p, st, fused, cfg.numCores(), 0, p.iterations);
+        } else if (plan.route == Route::DegradeTdfg) {
+            degradeRegion(p, st, 0, p.iterations, plan.error);
         } else {
-            // Changing parameters defeat memoization (gauss_elim, §8).
-            // Graphs build sequentially; lowering fans out in bounded
-            // blocks. When a lowering fails, the block may have lowered a
-            // few graphs past the failing iteration speculatively — that
-            // shows in JitStats only; ExecStats and the degradation point
-            // are unchanged (DESIGN.md §10).
-            ThreadPool &pool = sys_.pool();
-            const std::uint64_t block =
-                pool.inlineOnly()
-                    ? 1
-                    : std::max<std::uint64_t>(2 * pool.threads(), 4);
-            bool degraded = false;
-            for (std::uint64_t it0 = 0;
-                 it0 < p.iterations && !degraded; it0 += block) {
-                const std::uint64_t n =
-                    std::min<std::uint64_t>(block, p.iterations - it0);
-                std::vector<TdfgGraph> graphs;
-                graphs.reserve(n);
-                for (std::uint64_t k = 0; k < n; ++k) {
-                    graphs.push_back(it0 + k == 0
-                                         ? std::move(plan.g0)
-                                         : p.buildTdfg(it0 + k));
-                }
-                using ProgOr =
-                    Expected<std::shared_ptr<const InMemProgram>>;
-                std::vector<std::optional<ProgOr>> progs(n);
-                auto lowerK = [&](std::uint64_t k) {
-                    progs[k] = sys_.jit().tryLower(graphs[k], use_layout,
-                                                   sys_.map());
-                };
-                if (pool.inlineOnly() || n == 1) {
-                    for (std::uint64_t k = 0; k < n; ++k)
-                        lowerK(k);
-                } else {
-                    std::vector<std::function<void()>> tasks;
-                    tasks.reserve(n);
-                    for (std::uint64_t k = 0; k < n; ++k)
-                        tasks.push_back([&lowerK, k] { lowerK(k); });
-                    pool.runTasks(std::move(tasks));
-                }
-                for (std::uint64_t k = 0; k < n; ++k) {
-                    const std::uint64_t it = it0 + k;
-                    ProgOr &prog_or = *progs[k];
-                    if (!prog_or) {
-                        degradeRegion(p, st, it, p.iterations - it,
-                                      prog_or.error());
-                        degraded = true;
-                        break;
+            prepareOnce();
+            const TiledLayout &use_layout =
+                plan.usesOwnLayout ? plan.ownLayout : layout;
+            bool ok = true;
+            if (!plan.memoKey.empty()) {
+                // The first iteration pays the JIT; the rest reuse the
+                // memoized program (§4.2). Lowered bank-parallel above.
+                const ProgOr *prog = &*plan.prog;
+                const TiledLayout *exec_layout = &use_layout;
+                if (*prog && !plan.candProgs.empty()) {
+                    // Fat-binary dispatch (DESIGN.md §14): probe each
+                    // cleanly lowered candidate's makespan on private
+                    // replay models, then pick with the occupancy
+                    // observed so far. Only the chosen program's JIT time
+                    // is charged — the others were lowered ahead of
+                    // dispatch (that is the fat binary).
+                    std::vector<ScheduleCandidate> cands;
+                    std::vector<unsigned> ids;
+                    for (unsigned c = 0; c < plan.candProgs.size(); ++c) {
+                        if (!plan.candProgs[c])
+                            continue; // Failed to lower: drop it.
+                        ScheduleCandidate sc;
+                        sc.layout = candLayouts[c];
+                        sc.prog = *plan.candProgs[c];
+                        BackendJob job{candLayouts[c], sc.prog,
+                                       primary_elems};
+                        sc.replayCycles = replayTiming(cfg, job).simCycles;
+                        cands.push_back(std::move(sc));
+                        ids.push_back(c);
                     }
-                    const auto &prog = *prog_or;
-                    if (jit_enabled) {
-                        st.jitCycles += prog->jitTicks;
-                        st.cycles += prog->jitTicks;
+                    if (cands.size() > 1) {
+                        const unsigned c =
+                            ids[chooseSchedule(cands, observed)];
+                        prog = &plan.candProgs[c];
+                        exec_layout = &candLayouts[c];
+                        if (st.scheduleId < 0) {
+                            st.scheduleId = static_cast<int>(c);
+                            st.scheduleCandidates =
+                                static_cast<unsigned>(cands.size());
+                            st.chosenTile = exec_layout->tile();
+                        }
                     }
-                    InMemExecResult r = sys_.tensorController().execute(
-                        *prog, use_layout, 0);
-                    if (r.failed) {
-                        st.cycles += r.cycles;
-                        degradeRegion(p, st, it, p.iterations - it,
-                                      Error{ErrCode::CommandFailed,
-                                            "in-memory command fault "
-                                            "persisted past the retry "
-                                            "budget"});
-                        degraded = true;
-                        break;
-                    }
-                    accumulate(r);
                 }
-            }
-            if (degraded) {
-                st.phaseCycles.emplace_back(p.name,
-                                            st.cycles - phase_start);
-                continue;
-            }
-        }
-
-        // Residual work: final reductions / irregular updates coupled to
-        // the in-memory part.
-        if (!p.residualStreams.empty()) {
-            if (fused) {
-                bool any_reduce = false;
-                for (const NearStream &s : p.residualStreams)
-                    any_reduce |= s.isReduce;
-                for (std::uint64_t it = 0; it < p.iterations; ++it) {
-                    NearExecResult r =
-                        sys_.nearEngine().run(p.residualStreams, 0);
-                    if (any_reduce)
-                        st.finalReduceCycles += r.cycles;
-                    else
-                        st.mixCycles += r.cycles;
-                    st.cycles += r.cycles;
-                }
+                ok = runProgram(p, *prog, *exec_layout, 0, p.iterations);
             } else {
-                // In-L3 has no near-memory support: the core does it.
-                Phase residual;
-                residual.coreFlopsPerIter = p.residualFlopsPerIter;
-                residual.coreBytesPerIter = p.residualBytesPerIter;
-                Tick per_iter = corePhaseCycles(
-                    residual, cfg.numCores(), st, p.iterations);
-                st.finalReduceCycles += per_iter * p.iterations;
-                st.cycles += per_iter * p.iterations;
+                // Changing parameters defeat memoization (gauss_elim,
+                // §8). Graphs build sequentially; lowering fans out in
+                // bounded blocks. When a lowering fails, the block may
+                // have lowered a few graphs past the failing iteration
+                // speculatively — that shows in JitStats only; ExecStats
+                // and the degradation point are unchanged (DESIGN.md
+                // §10).
+                ThreadPool &pool = sys_.pool();
+                const std::uint64_t block =
+                    pool.inlineOnly()
+                        ? 1
+                        : std::max<std::uint64_t>(2 * pool.threads(), 4);
+                for (std::uint64_t it0 = 0; it0 < p.iterations && ok;
+                     it0 += block) {
+                    const std::uint64_t n =
+                        std::min<std::uint64_t>(block, p.iterations - it0);
+                    std::vector<TdfgGraph> graphs;
+                    graphs.reserve(n);
+                    for (std::uint64_t k = 0; k < n; ++k) {
+                        graphs.push_back(it0 + k == 0
+                                             ? std::move(*plan.g0)
+                                             : p.buildTdfg(it0 + k));
+                    }
+                    std::vector<std::optional<ProgOr>> progs(n);
+                    auto lowerK = [&](std::uint64_t k) {
+                        progs[k] = sys_.jit().tryLower(
+                            graphs[k], use_layout, sys_.map());
+                    };
+                    if (pool.inlineOnly() || n == 1) {
+                        for (std::uint64_t k = 0; k < n; ++k)
+                            lowerK(k);
+                    } else {
+                        std::vector<std::function<void()>> tasks;
+                        tasks.reserve(n);
+                        for (std::uint64_t k = 0; k < n; ++k)
+                            tasks.push_back([&lowerK, k] { lowerK(k); });
+                        pool.runTasks(std::move(tasks));
+                    }
+                    for (std::uint64_t k = 0; k < n && ok; ++k)
+                        ok = runProgram(p, *progs[k], use_layout, it0 + k,
+                                        1);
+                }
+            }
+
+            // Residual work: final reductions / irregular updates coupled
+            // to the in-memory part.
+            if (ok && !p.residualStreams.empty()) {
+                if (fused) {
+                    bool any_reduce = false;
+                    for (const NearStream &s : p.residualStreams)
+                        any_reduce |= s.isReduce;
+                    for (std::uint64_t it = 0; it < p.iterations; ++it) {
+                        NearExecResult r =
+                            sys_.nearEngine().run(p.residualStreams, 0);
+                        if (any_reduce)
+                            st.finalReduceCycles += r.cycles;
+                        else
+                            st.mixCycles += r.cycles;
+                        st.cycles += r.cycles;
+                    }
+                } else {
+                    // In-L3 has no near-memory support: the core does it.
+                    Phase residual;
+                    residual.coreFlopsPerIter = p.residualFlopsPerIter;
+                    residual.coreBytesPerIter = p.residualBytesPerIter;
+                    Tick per_iter = corePhaseCycles(residual,
+                                                    cfg.numCores(),
+                                                    p.iterations);
+                    st.finalReduceCycles += per_iter * p.iterations;
+                    st.cycles += per_iter * p.iterations;
+                }
             }
         }
         st.phaseCycles.emplace_back(p.name, st.cycles - phase_start);

@@ -25,10 +25,6 @@ namespace infs {
 struct ExecStats {
     Tick cycles = 0;
 
-    /** Which execution backend produced this run's in-memory results
-     * (SystemConfig::backend). */
-    ExecBackendKind backend = ExecBackendKind::Fabric;
-
     // Fig 14 cycle breakdown.
     Tick dramCycles = 0;        ///< Fetch + transpose from/to DRAM.
     Tick jitCycles = 0;         ///< tDFG lowering (JIT Lower).
@@ -80,12 +76,6 @@ struct ExecStats {
     int scheduleId = -1;
     /** Candidate schedules lowered for the primary layout. */
     unsigned scheduleCandidates = 0;
-    /** Fabric-side cache effectiveness, copied from FabricStats when a
-     * bit-accurate fabric ran this workload (bench path); 0 under the
-     * pure timing walk. */
-    std::uint64_t maskCacheHits = 0;
-    std::uint64_t maskCacheMisses = 0;
-    std::uint64_t scratchAllocs = 0;
 
     /** Fraction of element ops executed in bitlines. */
     double
@@ -100,11 +90,7 @@ class Executor
 {
   public:
     Executor(InfinitySystem &sys, Paradigm paradigm)
-        : sys_(sys), paradigm_(paradigm),
-          backend_(makeBackend(sys.config().backend, sys.config()))
-    {
-        backend_->setThreadPool(&sys.pool());
-    }
+        : sys_(sys), paradigm_(paradigm) {}
 
     /**
      * Execute @p w. When @p store is non-null the tDFG interpreter also
@@ -116,18 +102,27 @@ class Executor
 
     Paradigm paradigm() const { return paradigm_; }
 
-    /** The execution backend this run drives (SystemConfig::backend). */
-    ExecBackend &backend() { return *backend_; }
-
   private:
-    void runBase(const Workload &w, ExecStats &st, unsigned threads);
-    void runNearL3(const Workload &w, ExecStats &st);
+    /** Base (@p near false) and Near-L3 (@p near true): the cold DRAM
+     * fetch, then every phase through runFallback. */
+    void runOutsideMemory(const Workload &w, ExecStats &st, bool near,
+                          unsigned threads);
     void runInMemory(const Workload &w, ExecStats &st, bool fused,
                      bool jit_enabled);
-    /** In-core cost of one phase iteration for the Base paradigms;
-     * traffic and energy are charged for all @p iters at once. */
-    Tick corePhaseCycles(const Phase &p, unsigned threads, ExecStats &st,
+    /** In-core cost of one phase iteration; traffic and energy are
+     * charged for all @p iters at once. */
+    Tick corePhaseCycles(const Phase &p, unsigned threads,
                          std::uint64_t iters) const;
+
+    /**
+     * The one near-memory / core runner: iterations [@p first,
+     * first + n) of @p p run near memory when @p near is set and the
+     * phase has a stream form (per-iteration buildStreams when set),
+     * else on the core at @p threads.
+     */
+    void runFallback(const Phase &p, ExecStats &st, bool near,
+                     unsigned threads, std::uint64_t first,
+                     std::uint64_t n);
 
     /**
      * Graceful degradation of an in-memory region that failed (lowering
@@ -144,7 +139,6 @@ class Executor
 
     InfinitySystem &sys_;
     Paradigm paradigm_;
-    std::unique_ptr<ExecBackend> backend_;
 };
 
 } // namespace infs

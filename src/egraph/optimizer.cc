@@ -986,10 +986,12 @@ TdfgOptimizer::extract(const EGraph &eg, const std::vector<EClassId> &roots,
         return std::nullopt;
     };
 
-    ExtractionResult tree{TdfgGraph(eg.dims(), original.name() + ".opt")};
+    ExtractionResult tree{TdfgGraph(eg.dims(), original.name() + ".opt"),
+                          0.0, {}};
     if (std::optional<Error> e = buildGraph(sel1, tree))
         return *std::move(e); // No tree selection: nothing to extract.
-    ExtractionResult shared{TdfgGraph(eg.dims(), original.name() + ".opt")};
+    ExtractionResult shared{TdfgGraph(eg.dims(), original.name() + ".opt"),
+                            0.0, {}};
     if (std::optional<Error> e = buildGraph(sel2, shared)) {
         // The amortized selection is an optimization attempt on top of
         // the sound tree extraction; losing it costs performance only.

@@ -99,7 +99,6 @@ testSystemConfig()
     cfg.l3.arraysPerWay = 4;
     cfg.l3.wordlines = 256;
     cfg.l3.bitlines = 256;
-    cfg.stream.l3Streams = 192;
     // Tests run every graph and command stream through the verifier so a
     // lowering bug surfaces as a diagnostic, not silently wrong numbers.
     cfg.verifyLevel = VerifyLevel::Full;

@@ -15,25 +15,10 @@
 
 namespace infs {
 
-/** Core pipeline model parameters (issue-limited abstract OOO8). */
+/** Core model parameters (abstract OOO8; throughput-bound phases). */
 struct CoreConfig {
     double ghz = 2.0;              ///< Clock frequency.
-    unsigned issueWidth = 8;       ///< Micro-ops issued per cycle.
     unsigned simdLanesFp32 = 16;   ///< One 512-bit vector op per cycle.
-    Tick fpAluLatency = 4;         ///< FP ALU/SIMD latency.
-    Tick intAluLatency = 1;        ///< Int ALU latency.
-    Tick fpDivLatency = 12;
-    Tick intMulLatency = 3;
-};
-
-/** Private cache parameters. */
-struct CacheConfig {
-    Bytes l1Bytes = 32 * 1024;
-    Tick l1Latency = 2;
-    Bytes l2Bytes = 256 * 1024;
-    Tick l2Latency = 16;
-    /** L1/L2 prefetchers modeled as a hit-rate boost for streaming loads. */
-    double prefetchAccuracy = 0.9;
 };
 
 /** Shared L3 (NUCA) parameters. */
@@ -96,10 +81,6 @@ struct DramConfig {
 
 /** Stream engine parameters (NSC near-memory baseline). */
 struct StreamConfig {
-    unsigned coreStreams = 12;       ///< SEcore FIFO streams.
-    Bytes coreFifoBytes = 2048;
-    unsigned l3Streams = 768;        ///< SEL3 stream contexts.
-    Bytes l3BufferBytes = 64 * 1024;
     Tick computeInitLatency = 4;     ///< SEL3 compute initiation.
     unsigned flowControlLines = 8;   ///< Sync every N cache lines.
     /** fp32 lanes per bank for near-stream computation (NSC executes
@@ -144,9 +125,9 @@ enum class VerifyLevel : std::uint8_t {
 const char *verifyLevelName(VerifyLevel v);
 
 /**
- * Which execution backend runs lowered in-memory jobs (src/core/backend.hh).
- * The enum lives here, next to VerifyLevel, so SystemConfig can carry the
- * selection without the sim layer depending on core.
+ * Which execution backend runs lowered in-memory jobs (src/core/backend.hh);
+ * the tools pick one with --backend. The enum lives here, next to
+ * VerifyLevel, so name parsing stays in the sim layer.
  */
 enum class ExecBackendKind : std::uint8_t {
     Fabric,     ///< Bit-accurate SRAM fabric: ground truth for bits.
@@ -185,10 +166,6 @@ bool parseSimdIsaName(const std::string &name, SimdIsa &out);
 struct TensorConfig {
     unsigned lotEntries = 16;          ///< Layout override table regions.
     DType elemType = DType::Fp32;      ///< In-memory element type.
-    Bytes commandCacheBytes = 2048;    ///< TCcore command cache.
-    std::uint64_t releaseRequestThreshold = 100000;
-    Tick releaseTimerTicks = 100000;
-    double l3MissRateReleaseThreshold = 0.5;
     /** JIT cost per lowered tDFG node in core cycles (calibrated so the
      * Table 3 regions land near the paper's 220 us mean with gauss_elim
      * as the 1616 us outlier, §8). */
@@ -202,7 +179,6 @@ struct TensorConfig {
 /** Full system configuration (Table 2 defaults). */
 struct SystemConfig {
     CoreConfig core;
-    CacheConfig cache;
     L3Config l3;
     NocConfig noc;
     DramConfig dram;
@@ -228,11 +204,6 @@ struct SystemConfig {
      * elision apart from the peephole rewrites. No effect when cmdOpt is
      * off. */
     bool cmdOptSyncElision = true;
-
-    /** Execution backend for lowered in-memory jobs. Fabric is the
-     * bit-accurate ground truth; functional and timing are the fast
-     * backends certified against it by tests/core/test_backend_diff.cc. */
-    ExecBackendKind backend = ExecBackendKind::Fabric;
 
     /** SIMD ISA for the bit-plane kernels (DESIGN.md §14). Auto resolves
      * from the INFS_SIMD environment variable, then cpuid detection.

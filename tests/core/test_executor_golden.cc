@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <string>
 
@@ -126,7 +128,9 @@ expectMatches(const GoldenRow &g, const ExecStats &st)
     EXPECT_EQ(phaseString(st), g.phaseCycles);
     for (std::size_t c = 0; c < st.nocHopBytes.size(); ++c)
         expectRelNear(st.nocHopBytes[c], g.nocHopBytes[c],
-                      "nocHopBytes[" + std::to_string(c) + "]");
+                      std::string("nocHopBytes[")
+                          .append(std::to_string(c))
+                          .append("]"));
     expectRelNear(st.energyJoules, g.energyJoules, "energyJoules");
 }
 

@@ -23,25 +23,6 @@
 namespace infs {
 namespace {
 
-/** Layout hints exactly as planPrimaryJob / the Executor derive them:
- * merged over every tensor phase of the workload. */
-LayoutHints
-workloadHints(const Workload &w)
-{
-    LayoutHints hints;
-    for (const Phase &p : w.phases) {
-        if (!p.buildTdfg)
-            continue;
-        LayoutHints h = LayoutHints::fromGraph(p.buildTdfg(0));
-        hints.shiftDims.insert(h.shiftDims.begin(), h.shiftDims.end());
-        hints.broadcastDims.insert(h.broadcastDims.begin(),
-                                   h.broadcastDims.end());
-        if (h.reduceDim)
-            hints.reduceDim = h.reduceDim;
-    }
-    return hints;
-}
-
 TEST(TilingCandidates, WinnerFirstPinnedAndBounded)
 {
     SystemConfig cfg = testSystemConfig();
@@ -51,7 +32,7 @@ TEST(TilingCandidates, WinnerFirstPinnedAndBounded)
         const BenchScenario *sc = findScenario(name);
         ASSERT_NE(sc, nullptr);
         Workload w = sc->quick();
-        LayoutHints hints = workloadHints(w);
+        LayoutHints hints = planRegion(w).hints;
         TileDecision best = policy.choose(w.primaryShape, w.elemBytes,
                                           hints);
         if (!best.valid)
@@ -70,9 +51,10 @@ TEST(TilingCandidates, WinnerFirstPinnedAndBounded)
                 // The reduce dimension is pinned across candidates: the
                 // fp reduction tree shape (and so the fp result bits)
                 // depends only on tile[reduceDim].
-                if (hints.reduceDim)
+                if (hints.reduceDim) {
                     EXPECT_EQ(c.tile[*hints.reduceDim],
                               best.tile[*hints.reduceDim]);
+                }
             }
         }
     }
@@ -168,7 +150,7 @@ TEST(ChooseSchedule, EveryCandidateChecksumIdentical)
         const BenchScenario *sc = findScenario(name);
         ASSERT_NE(sc, nullptr);
         Workload w = sc->quick();
-        LayoutHints hints = workloadHints(w);
+        LayoutHints hints = planRegion(w).hints;
         std::int64_t volume = 1;
         for (Coord s : w.primaryShape)
             volume *= s;
@@ -234,8 +216,9 @@ TEST(ChooseSchedule, ExecutorRecordsProvenance)
     Executor exec(sys, Paradigm::InfS);
     ExecStats a = exec.run(sc->quick());
     EXPECT_EQ(a.simdIsa, simd::activeIsa());
-    if (a.scheduleCandidates > 1)
+    if (a.scheduleCandidates > 1) {
         EXPECT_GE(a.scheduleId, 0);
+    }
 
     // Bit-for-bit repeatable: same system, same workload, same pick.
     InfinitySystem sys2(cfg);

@@ -89,9 +89,10 @@ TEST(CompileMove, PropertyEveryElementMovesByDist)
         }
         for (Coord x = 0; x < n; ++x) {
             Coord want = x + dist;
-            if (want >= 0 && want < n)
+            if (want >= 0 && want < n) {
                 EXPECT_EQ(dst[x], want)
                     << "dist " << dist << " elem " << x;
+            }
         }
     }
 }

@@ -335,7 +335,8 @@ makeWideSum(Coord n, unsigned arrays)
     w.dirtyBytes = static_cast<Bytes>(n * 4);
     w.setup = [n, arrays](ArrayStore &s) {
         for (unsigned a = 0; a < arrays; ++a) {
-            ArrayId id = s.declare("A" + std::to_string(a), {n});
+            ArrayId id =
+                s.declare(std::string("A").append(std::to_string(a)), {n});
             for (Coord i = 0; i < n; ++i)
                 s.array(id).data[static_cast<std::size_t>(i)] =
                     static_cast<float>(a + 1) +

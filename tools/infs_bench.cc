@@ -154,7 +154,6 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
     applyKnobs(w, knobs);
     SystemConfig cfg = testSystemConfig();
     cfg.hostThreads = threads;
-    cfg.backend = backend;
     cfg.simd = simd;
     cfg.cmdOpt = knobs.cmdOpt;
     cfg.cmdOptSyncElision = knobs.syncElision;
@@ -183,11 +182,6 @@ benchOne(const BenchScenario &sc, bool quick, unsigned threads,
             be->setThreadPool(&sys.pool());
             br = be->runJob(*job);
             backend_ms = msSince(bt0);
-            // The job pass's fabric-side cache counters ride along in
-            // ExecStats (schema v5); the timing walk alone has no fabric.
-            st.maskCacheHits = br.fabric.maskCacheHits;
-            st.maskCacheMisses = br.fabric.maskCacheMisses;
-            st.scratchAllocs = br.fabric.scratchAllocs;
         }
 
         if (r == 0) {

@@ -178,7 +178,6 @@ void
 runBackendPass(const Workload &w, ExecBackendKind backend)
 {
     SystemConfig cfg = testSystemConfig();
-    cfg.backend = backend;
     auto job = planPrimaryJob(w, cfg, nullptr, kJobVolumeCap);
     if (!job) {
         std::printf("  backend %s: no lowerable primary job\n",
